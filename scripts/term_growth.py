@@ -1,13 +1,11 @@
-"""Tabulate and optionally time the two exact formulas' term counts.
+"""Tabulate the two exact formulas' term counts.
 
 The product-space expansion touches 2^(prod t_i) - 1 summands, the
 covering-selection rewrite prod (2^{t_i} - 1).  The table makes the doubly
-vs singly exponential gap concrete for uniform shapes; with --time the
-script also runs both evaluators on seeded instances for as long as the
-product-space route stays under the budget.
+vs singly exponential gap concrete for uniform shapes; `relcover bench`
+times the two evaluators.
 
     python3 scripts/term_growth.py
-    python3 scripts/term_growth.py --time --budget 5
 """
 
 from __future__ import annotations
@@ -19,20 +17,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from relcover import (
-    EvaluationTimeout,
-    FamilyShape,
-    count_terms_classical,
-    count_terms_simplified,
-    generate_random_system,
-    reliability_classical,
-    reliability_simplified,
-)
+from relcover import FamilyShape, count_terms_classical, count_terms_simplified
 
 TABLE_SHAPES = [(n, t) for n in (2, 3, 4, 5) for t in (2, 3, 4)]
-
-# Shapes small enough that the product-space route can still finish.
-TIMED_SHAPES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]
 
 
 def fmt_count(c: int) -> str:
@@ -52,34 +39,9 @@ def print_table() -> None:
         print(f"{n:>9} {t:>5} {fmt_count(old):>28} {new:>12} {ratio:>10.2e}")
 
 
-def time_shapes(budget: float, components: int, seed: int) -> None:
-    print()
-    print(f"{'shape':>7} {'t_new_s':>10} {'t_old_s':>10} {'agreement':>12}")
-    for n, t in TIMED_SHAPES:
-        shape = FamilyShape.uniform(n, t)
-        spec = generate_random_system(shape, components, 0.5, seed)
-        new = reliability_simplified(spec, cap_terms=None)
-        try:
-            old = reliability_classical(spec, cap_terms=None, budget_seconds=budget)
-            t_old = f"{old.wall_time:10.4f}"
-            agree = f"{abs(new.reliability - old.reliability):.1e}"
-        except EvaluationTimeout:
-            t_old = f">{budget:.0f} (stopped)"
-            agree = "n/a"
-        print(f"{f'{n}x{t}':>7} {new.wall_time:10.4f} {t_old:>10} {agree:>12}")
-
-
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--time", action="store_true", help="also run both evaluators")
-    parser.add_argument("--budget", type=float, default=10.0, help="seconds per classical run")
-    parser.add_argument("--components", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
+    argparse.ArgumentParser(description=__doc__).parse_args()
     print_table()
-    if args.time:
-        time_shapes(args.budget, args.components, args.seed)
 
 
 if __name__ == "__main__":

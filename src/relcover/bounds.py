@@ -22,8 +22,15 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidSystemError
-from .evaluate import _CompensatedSum, _mask_product, reliability_simplified
-from .system import FamilyShape, SystemSpec, generate_random_system, validate_system
+from .evaluate import _fold, _signed_sum, reliability_simplified
+from .system import (
+    FamilyShape,
+    SystemSpec,
+    generate_random_system,
+    mask_product,
+    reliability_array,
+    validate_system,
+)
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,7 @@ def _single_function_masks(spec: SystemSpec) -> tuple[list[int], list[float]]:
     hard = [v for v in report.violations if v.kind != "duplicate-implementation"]
     if hard:
         raise InvalidSystemError(hard)
-    reliabilities = [0.0] * spec.component_count
-    for c in spec.components:
-        reliabilities[c.id] = c.reliability
-    return [impl.mask for impl in spec.functions[0]], reliabilities
+    return [impl.mask for impl in spec.functions[0]], reliability_array(spec)
 
 
 def pairwise_sums(spec: SystemSpec) -> tuple[float, float]:
@@ -82,14 +86,13 @@ def pairwise_sums(spec: SystemSpec) -> tuple[float, float]:
     two identical events with probability p contribute 2p to S1 and p to S2.
     """
     masks, reliabilities = _single_function_masks(spec)
-    cache: dict[int, float] = {}
     s1 = 0.0
     for m in masks:
-        s1 += _mask_product(m, reliabilities, cache)
+        s1 += mask_product(m, reliabilities)
     s2 = 0.0
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
-            s2 += _mask_product(masks[i] | masks[j], reliabilities, cache)
+            s2 += mask_product(masks[i] | masks[j], reliabilities)
     return s1, s2
 
 
@@ -117,24 +120,13 @@ def bound_summary(spec: SystemSpec) -> BoundSummary:
 def exact_union_probability(spec: SystemSpec) -> float:
     """Exact P(union of the single function's events), by inclusion-exclusion.
 
-    Independent of the covering-selection evaluator and, like pairwise_sums,
-    indifferent to duplicate component sets, so it can sit next to the bound
-    for any spec the bound accepts.
+    This is the simplified evaluator's engine on one function: the signed
+    union map of the events, summed with `math.fsum`.  Like pairwise_sums it
+    is indifferent to duplicate component sets, so it can sit next to the
+    bound for any spec the bound accepts.
     """
     masks, reliabilities = _single_function_masks(spec)
-    cache: dict[int, float] = {}
-    acc = _CompensatedSum()
-    t = len(masks)
-    for s in range(1, 1 << t):
-        union = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            union |= masks[low.bit_length() - 1]
-            rest ^= low
-        sign = 1.0 if (s.bit_count() & 1) else -1.0
-        acc.add(sign * _mask_product(union, reliabilities, cache))
-    return acc.value
+    return _signed_sum(_fold([masks]), reliabilities)
 
 
 def nonmonotonicity_search(

@@ -9,28 +9,36 @@ Three routes to P(every function has a working implementation):
   cardinality k, prod (2^{t_i} - 1) terms in total.
 * monte_carlo: per-component Bernoulli sampling.
 
-Both exact routes share the same term algebra: each term is a coefficient
-times the product of component reliabilities over a union mask.  Products
-are memoised per union mask and terms are added in a fixed canonical order
-with compensated summation, so results are bit-for-bit reproducible.
+Both exact routes reduce to one map {union mask: net coefficient}.  The
+covering-selection sign (-1)^(k - n) is the product of the per-function
+signs (-1)^(|S_i| - 1), so the simplified route folds one signed union map
+per function by OR-convolution and merges equal masks as they appear; the
+classical route accumulates its subset unions into the same kind of map.
+The map is summed as coefficient times the product of component
+reliabilities with `math.fsum`, which is correctly rounded and therefore
+order-independent: equal maps give bit-identical results, run to run and
+route to route.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import combinatorics as comb_mod
 from .errors import CapExceeded, EvaluationTimeout, InvalidSystemError
-from .system import SystemSpec, validate_system
+from .system import SystemSpec, mask_product, reliability_array, validate_system
 
 # Exact evaluators refuse term counts beyond this unless overridden.
 DEFAULT_TERM_CAP = (1 << 24) - 1
+
+# Subset unions over this many low counter bits come from one prefix table.
+_TABLE_BITS = 16
 
 _MC_CHUNK = 1 << 17
 
@@ -65,57 +73,73 @@ class EvaluationReport:
         return min(1.0, max(0.0, self.reliability))
 
 
-class _CompensatedSum:
-    """Neumaier variant of Kahan summation; order still matters, so callers
-    feed terms in canonical order."""
-
-    __slots__ = ("total", "correction")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.correction = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.correction += (self.total - t) + x
-        else:
-            self.correction += (x - t) + self.total
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total + self.correction
-
-
 def _prepare(spec: SystemSpec) -> tuple[list[list[int]], list[float]]:
     report = validate_system(spec)
     if not report.ok:
         raise InvalidSystemError(report.violations)
-    reliabilities = [0.0] * spec.component_count
-    for c in spec.components:
-        reliabilities[c.id] = c.reliability
     masks = [[impl.mask for impl in function] for function in spec.functions]
-    return masks, reliabilities
-
-
-def _mask_product(mask: int, reliabilities: list[float], cache: dict[int, float]) -> float:
-    hit = cache.get(mask)
-    if hit is not None:
-        return hit
-    p = 1.0
-    m = mask
-    while m:
-        low = m & -m
-        p *= reliabilities[low.bit_length() - 1]
-        m ^= low
-    cache[mask] = p
-    return p
+    return masks, reliability_array(spec)
 
 
 def _check_term_cap(term_count: int, cap_terms: int | None) -> None:
     if cap_terms is not None and term_count > cap_terms:
         raise CapExceeded(f"{term_count} terms exceeds the cap {cap_terms}")
+
+
+def _signed_unions(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(union of S, (-1)^(|S| - 1)) for every non-empty subset S of masks.
+
+    Subsets come in ascending binary-counter order, bit j standing for
+    masks[j].  The low bits of the counter come from a prefix table built
+    once; the high bits are OR-ed in once per outer step, so one path serves
+    any width.
+    """
+    low = [(0, -1)]
+    for m in masks[:_TABLE_BITS]:
+        low += [(union | m, -sign) for union, sign in low]
+    yield from low[1:]
+    high_masks = masks[_TABLE_BITS:]
+    for hi in range(1, 1 << len(high_masks)):
+        high, rest = 0, hi
+        while rest:
+            bit = rest & -rest
+            high |= high_masks[bit.bit_length() - 1]
+            rest ^= bit
+        flip = -1 if hi.bit_count() & 1 else 1
+        for union, sign in low:
+            yield union | high, sign * flip
+
+
+def _signed_map(masks: Sequence[int]) -> dict[int, int]:
+    own: dict[int, int] = {}
+    for union, sign in _signed_unions(masks):
+        own[union] = own.get(union, 0) + sign
+    return own
+
+
+def _fold(functions: list[list[int]]) -> dict[int, int]:
+    """{union mask: net coefficient} over every covering selection.
+
+    OR-convolution of one signed union map per function.  Zero entries are
+    kept, so the keys are exactly the distinct covering-selection unions.
+    """
+    total = _signed_map(functions[0])
+    for masks in functions[1:]:
+        own = _signed_map(masks)
+        merged: dict[int, int] = {}
+        for a, ca in total.items():
+            for b, cb in own.items():
+                key = a | b
+                merged[key] = merged.get(key, 0) + ca * cb
+        total = merged
+    return total
+
+
+def _signed_sum(coefficients: dict[int, int], reliabilities: list[float]) -> float:
+    """Correctly rounded sum of c * P(mask), so the map's order never matters."""
+    return math.fsum(
+        c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
+    )
 
 
 def reliability_simplified(
@@ -124,60 +148,28 @@ def reliability_simplified(
     """Exact reliability via covering selections.
 
     Sums (-1)^(k - n) * P(all selected implementations work) over covering
-    selections of every cardinality k = n..m, in the canonical enumeration
-    order of `enumerate_covering_selections`.
+    selections of every cardinality k = n..m, with selections of equal union
+    mask merged as the functions are folded together.
     """
     start = time.perf_counter()
     masks, reliabilities = _prepare(spec)
-    shape = spec.shape
-    term_count = comb_mod.count_terms_simplified(shape)
+    term_count = comb_mod.count_terms_simplified(spec.shape)
     _check_term_cap(term_count, cap_terms)
-
-    # Fold the functions together: after function i the list holds one
-    # (cardinality, union mask) entry per choice of a non-empty subset from
-    # each of the first i functions, in the canonical odometer order of
-    # `_covering_index_tuples`.  Memory is linear in the term count.
-    flat: list[tuple[int, int]] = [(0, 0)]
-    for function_masks in masks:
-        t = len(function_masks)
-        subs: list[tuple[int, int]] = []
-        for size in range(1, t + 1):
-            for chosen in itertools.combinations(range(t), size):
-                m = 0
-                for j in chosen:
-                    m |= function_masks[j]
-                subs.append((size, m))
-        flat = [(k + size, union | m) for (k, union) in flat for (size, m) in subs]
-
-    n, m_total = shape.n, shape.m
-    buckets: list[list[int]] = [[] for _ in range(m_total + 1)]
-    for k, union in flat:
-        buckets[k].append(union)
-
-    acc = _CompensatedSum()
-    cache: dict[int, float] = {}
-    for k in range(n, m_total + 1):
-        sign = 1.0 if (k - n) % 2 == 0 else -1.0
-        for union in buckets[k]:
-            acc.add(sign * _mask_product(union, reliabilities, cache))
-
+    coefficients = _fold(masks)
     return EvaluationReport(
         method=Method.SIMPLIFIED,
-        reliability=acc.value,
+        reliability=_signed_sum(coefficients, reliabilities),
         term_count=term_count,
-        distinct_product_count=len(cache),
+        distinct_product_count=len(coefficients),
         wall_time=time.perf_counter() - start,
     )
 
 
-def _point_masks(masks: list[list[int]], shape) -> list[int]:
-    out = []
-    for point in itertools.product(*(range(t) for t in shape.sizes)):
-        m = 0
-        for i, j in enumerate(point):
-            m |= masks[i][j]
-        out.append(m)
-    return out
+def _point_masks(masks: list[list[int]]) -> list[int]:
+    points = [0]
+    for function_masks in masks:
+        points = [p | m for p in points for m in function_masks]
+    return points
 
 
 def reliability_classical(
@@ -187,40 +179,20 @@ def reliability_classical(
 ) -> EvaluationReport:
     """Exact reliability via inclusion-exclusion over subsets of W.
 
-    Enumerates subsets as an ascending binary counter over |W| bits; union
-    masks come from two prefix tables (low/high halves of the counter) so a
-    subset costs O(1) beyond the popcount for its sign.  `budget_seconds`
-    aborts long runs with EvaluationTimeout; the benchmark treats that as a
-    data point rather than a failure.
+    Enumerates subsets of W with `_signed_unions` and merges equal union
+    masks before summing.  `budget_seconds` aborts long runs with
+    EvaluationTimeout; the benchmark treats that as a data point rather than
+    a failure.
     """
     start = time.perf_counter()
     masks, reliabilities = _prepare(spec)
     shape = spec.shape
-    w_size = shape.product_size
     term_count = comb_mod.count_terms_classical(shape)
     _check_term_cap(term_count, cap_terms)
 
-    points = _point_masks(masks, shape)
-    total_subsets = (1 << w_size) - 1
-
-    # Prefix tables only pay off when they fit; past that the run exists to
-    # demonstrate the blow-up and will hit the budget long before the end.
-    use_tables = w_size <= 40
-    if use_tables:
-        lo_bits = min(w_size, 16)
-        lo_table = [0] * (1 << lo_bits)
-        for s in range(1, 1 << lo_bits):
-            low = s & -s
-            lo_table[s] = lo_table[s ^ low] | points[low.bit_length() - 1]
-        hi_table = [0] * (1 << (w_size - lo_bits))
-        for s in range(1, 1 << (w_size - lo_bits)):
-            low = s & -s
-            hi_table[s] = hi_table[s ^ low] | points[lo_bits + low.bit_length() - 1]
-        lo_mask = (1 << lo_bits) - 1
-
-    acc = _CompensatedSum()
-    cache: dict[int, float] = {}
-    for s in range(1, total_subsets + 1):
+    total_subsets = (1 << shape.product_size) - 1
+    coefficients: dict[int, int] = {}
+    for s, (union, sign) in enumerate(_signed_unions(_point_masks(masks)), 1):
         if budget_seconds is not None and (s & 8191) == 0:
             elapsed = time.perf_counter() - start
             if elapsed > budget_seconds:
@@ -228,23 +200,13 @@ def reliability_classical(
                     f"classical evaluation aborted after {elapsed:.1f}s, "
                     f"{s} of {total_subsets} subsets done"
                 )
-        if use_tables:
-            union = lo_table[s & lo_mask] | hi_table[s >> lo_bits]
-        else:
-            union = 0
-            rest = s
-            while rest:
-                low = rest & -rest
-                union |= points[low.bit_length() - 1]
-                rest ^= low
-        sign = 1.0 if (s.bit_count() & 1) else -1.0
-        acc.add(sign * _mask_product(union, reliabilities, cache))
+        coefficients[union] = coefficients.get(union, 0) + sign
 
     return EvaluationReport(
         method=Method.CLASSICAL,
-        reliability=acc.value,
+        reliability=_signed_sum(coefficients, reliabilities),
         term_count=term_count,
-        distinct_product_count=len(cache),
+        distinct_product_count=len(coefficients),
         wall_time=time.perf_counter() - start,
     )
 
@@ -330,19 +292,7 @@ def term_stream(
 
     if method is Method.CLASSICAL:
         _check_term_cap(comb_mod.count_terms_classical(shape), cap_terms)
-
-        def classical() -> Iterator[TermEvent]:
-            points = _point_masks(masks, shape)
-            for s in range(1, (1 << shape.product_size)):
-                union = 0
-                rest = s
-                while rest:
-                    low = rest & -rest
-                    union |= points[low.bit_length() - 1]
-                    rest ^= low
-                yield TermEvent(union, 1 if (s.bit_count() & 1) else -1)
-
-        return classical()
+        return (TermEvent(u, sign) for u, sign in _signed_unions(_point_masks(masks)))
 
     raise ValueError("term streams exist only for the exact methods")
 

@@ -10,8 +10,7 @@ path yields the set of components it traverses, and the minimal such sets
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,34 @@ class DoorNetwork:
         return cls(nodes, edges, node_components, terminals, edge_components)
 
 
+def _simple_paths(
+    edges: tuple[tuple[str, str], ...], source: str, sink: str
+) -> Iterator[list[str]]:
+    """Every simple source-to-sink path, by iterative depth-first search.
+
+    Duplicate edges count once; source == sink gives the one-node path.
+    """
+    if source == sink:
+        yield [source]
+        return
+    successors: dict[str, list[str]] = {}
+    for u, v in dict.fromkeys(edges):
+        successors.setdefault(u, []).append(v)
+    path = [source]
+    stack = [iter(successors.get(source, ()))]
+    while stack:
+        for v in stack[-1]:
+            if v == sink:
+                yield path + [v]
+            elif v not in path:
+                path.append(v)
+                stack.append(iter(successors.get(v, ())))
+                break
+        else:
+            stack.pop()
+            path.pop()
+
+
 def minimal_paths(net: DoorNetwork, function_index: int) -> list[frozenset[int]]:
     """Minimal component sets over simple source-to-sink paths.
 
@@ -98,12 +125,8 @@ def minimal_paths(net: DoorNetwork, function_index: int) -> list[frozenset[int]]
         raise ValueError(f"no terminal pair for function {function_index}")
     src, sink = net.terminals[function_index]
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(net.nodes)
-    graph.add_edges_from(net.edges)
-
     seen: set[frozenset[int]] = set()
-    for path in nx.all_simple_paths(graph, src, sink):
+    for path in _simple_paths(net.edges, src, sink):
         comps = {net.node_components[v] for v in path if v in net.node_components}
         for u, v in zip(path, path[1:]):
             if (u, v) in net.edge_components:

@@ -230,14 +230,35 @@ def _require_member(spec: SystemSpec, impl: Implementation) -> None:
         raise ValueError(f"implementation ({fi}, {ii}) does not match the system's entry")
 
 
+def reliability_array(spec: SystemSpec) -> list[float]:
+    """Reliabilities indexed by component id; the spec must have dense ids."""
+    reliabilities = [0.0] * spec.component_count
+    for c in spec.components:
+        reliabilities[c.id] = c.reliability
+    return reliabilities
+
+
+def mask_product(
+    mask: int, reliabilities: Sequence[float] | dict[ComponentId, float]
+) -> float:
+    """prod of a_c over the components in mask, multiplied in ascending id order.
+
+    The one product primitive behind every route, so equal masks always give
+    bit-identical products.  `reliabilities` is anything indexed by component
+    id: a dense list or `SystemSpec.reliability_by_id()`.
+    """
+    p = 1.0
+    while mask:
+        low = mask & -mask
+        p *= reliabilities[low.bit_length() - 1]
+        mask ^= low
+    return p
+
+
 def implementation_probability(spec: SystemSpec, impl: Implementation) -> float:
     """P(implementation works) = prod of a_c over its component set."""
     _require_member(spec, impl)
-    by_id = spec.reliability_by_id()
-    p = 1.0
-    for c in sorted(impl.components):
-        p *= by_id[c]
-    return p
+    return mask_product(impl.mask, spec.reliability_by_id())
 
 
 def intersection_probability(spec: SystemSpec, impls: Sequence[Implementation]) -> float:
@@ -249,15 +270,11 @@ def intersection_probability(spec: SystemSpec, impls: Sequence[Implementation]) 
     """
     if not impls:
         raise ValueError("intersection over an empty implementation list")
-    union: set[ComponentId] = set()
+    union = 0
     for impl in impls:
         _require_member(spec, impl)
-        union |= impl.components
-    by_id = spec.reliability_by_id()
-    p = 1.0
-    for c in sorted(union):
-        p *= by_id[c]
-    return p
+        union |= impl.mask
+    return mask_product(union, spec.reliability_by_id())
 
 
 def generate_random_system(

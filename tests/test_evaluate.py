@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from relcover import (
     Method,
     SystemSpec,
     aggregate_terms,
+    exact_union_probability,
     generate_random_system,
     reliability_classical,
     reliability_monte_carlo,
@@ -33,14 +35,18 @@ def make_system(reliabilities, functions, name="test"):
 
 
 def state_space_reliability(spec):
-    """Independent oracle: sum P(state) over all 2^z component states."""
+    """Independent exact oracle: sum P(state) over all 2^z component states.
+
+    Stored reliabilities are dyadic rationals, so Fraction arithmetic gives
+    the exact reliability of the stored inputs.
+    """
     z = spec.component_count
-    rel = {c.id: c.reliability for c in spec.components}
-    total = 0.0
+    rel = {c.id: Fraction(c.reliability) for c in spec.components}
+    total = Fraction(0)
     for state in itertools.product((False, True), repeat=z):
-        p = 1.0
+        p = Fraction(1)
         for cid in range(z):
-            p *= rel[cid] if state[cid] else 1.0 - rel[cid]
+            p *= rel[cid] if state[cid] else 1 - rel[cid]
         up = all(
             any(all(state[c] for c in impl.components) for impl in function)
             for function in spec.functions
@@ -93,15 +99,32 @@ def test_two_functions_in_series():
 
 def test_door_fixture_against_state_space(fixtures_dir, t1):
     assert reliability_simplified(t1).reliability == pytest.approx(
-        state_space_reliability(t1), abs=1e-12
+        float(state_space_reliability(t1)), abs=1e-12
     )
 
 
 @given(spec=small_systems)
 def test_methods_agree_with_state_space(spec):
-    oracle = state_space_reliability(spec)
-    assert reliability_simplified(spec).reliability == pytest.approx(oracle, abs=1e-12)
-    assert reliability_classical(spec).reliability == pytest.approx(oracle, abs=1e-12)
+    oracle = float(state_space_reliability(spec))
+    assert reliability_simplified(spec).reliability == pytest.approx(oracle, abs=1e-15)
+    assert reliability_classical(spec).reliability == pytest.approx(oracle, abs=1e-15)
+    if len(spec.functions) == 1:
+        assert exact_union_probability(spec) == pytest.approx(oracle, abs=1e-15)
+
+
+def reversed_system(spec):
+    """The same system with functions, and implementations inside each, reversed."""
+    return make_system(
+        [c.reliability for c in spec.components],
+        [[impl.components for impl in reversed(f)] for f in reversed(spec.functions)],
+    )
+
+
+@given(spec=small_systems)
+def test_exact_routes_are_bit_identical_and_order_free(spec):
+    value = reliability_simplified(spec).reliability
+    assert reliability_classical(spec).reliability == value
+    assert reliability_simplified(reversed_system(spec)).reliability == value
 
 
 def test_runs_are_bit_identical():

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from relcover import DoorNetwork, load_system, minimal_paths
+from relcover.network import _simple_paths
 
 
 def simple_net(nodes, edges, terminals, node_components=None, edge_components=None):
@@ -133,3 +137,69 @@ def test_function_index_out_of_range():
     net = simple_net(["a", "b"], [("a", "b")], [("a", "b")])
     with pytest.raises(ValueError):
         minimal_paths(net, 1)
+
+
+def test_source_equal_to_sink_is_the_one_node_path():
+    net = simple_net(
+        ["a", "b"],
+        [("a", "b"), ("b", "a")],
+        [("a", "a")],
+        node_components={"a": 0, "b": 1},
+    )
+    assert minimal_paths(net, 0) == [frozenset({0})]
+
+
+def test_duplicate_edges_count_once():
+    net = simple_net(
+        ["a", "b", "c"],
+        [("a", "b"), ("a", "b"), ("b", "c"), ("a", "c"), ("b", "c")],
+        [("a", "c")],
+        node_components={"a": 0, "b": 1, "c": 2},
+        edge_components={("a", "b"): 3},
+    )
+    assert list(_simple_paths(net.edges, "a", "c")) == [["a", "b", "c"], ["a", "c"]]
+    assert minimal_paths(net, 0) == [frozenset({0, 2})]
+
+
+def brute_force_paths(net, source, sink):
+    """Every node sequence from source to sink without repeats, edge by edge."""
+    if source == sink:
+        return {(source,)}
+    inner = [v for v in net.nodes if v not in (source, sink)]
+    edges = set(net.edges)
+    return {
+        (source, *middle, sink)
+        for r in range(len(inner) + 1)
+        for middle in itertools.permutations(inner, r)
+        if all(pair in edges for pair in zip((source, *middle), (*middle, sink)))
+    }
+
+
+@st.composite
+def small_networks(draw):
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
+    pairs = [(u, v) for u in nodes for v in nodes if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else []
+    mapped_nodes = draw(st.lists(st.sampled_from(nodes), unique=True))
+    node_components = {v: draw(st.integers(0, 4)) for v in mapped_nodes}
+    mapped_edges = draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+    edge_components = {e: draw(st.integers(5, 7)) for e in mapped_edges}
+    terminal = (draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)))
+    return simple_net(nodes, edges, [terminal], node_components, edge_components)
+
+
+@given(net=small_networks())
+def test_paths_match_brute_force_enumeration(net):
+    source, sink = net.terminals[0]
+    paths = brute_force_paths(net, source, sink)
+    assert sorted(map(tuple, _simple_paths(net.edges, source, sink))) == sorted(paths)
+
+    sets = set()
+    for path in paths:
+        comps = {net.node_components[v] for v in path if v in net.node_components}
+        comps |= {
+            net.edge_components[e] for e in zip(path, path[1:]) if e in net.edge_components
+        }
+        sets.add(frozenset(comps))
+    minimal = [s for s in sets if not any(other < s for other in sets)]
+    assert minimal_paths(net, 0) == sorted(minimal, key=lambda s: (len(s), sorted(s)))
