@@ -142,12 +142,27 @@ def _covering_index_tuples(
     shape: FamilyShape, k: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     # Core enumeration shared with the evaluators: one non-empty subset of
-    # implementation indices per function, walked in odometer order over the
-    # per-function subset lists and filtered to total size k.
+    # implementation indices per function, in odometer order over the
+    # per-function subset lists, of total size k.  The walk is depth-first
+    # and enters a subset only while size k stays reachable, so no
+    # combination of another size is ever built.
     subsets = _function_subsets(shape.sizes)
-    for combo in itertools.product(*subsets):
-        if sum(size for size, _ in combo) == k:
-            yield tuple(chosen for _, chosen in combo)
+    n = len(subsets)
+    # Fewest and most indices that functions i.. can still add.
+    fewest = [n - i for i in range(n + 1)]
+    most = list(itertools.accumulate(reversed(shape.sizes), initial=0))[::-1]
+
+    def walk(i: int, room: int, prefix: tuple) -> Iterator[tuple[tuple[int, ...], ...]]:
+        for size, chosen in subsets[i]:
+            rest = room - size
+            if fewest[i + 1] <= rest <= most[i + 1]:
+                if i + 1 == n:
+                    yield prefix + (chosen,)
+                else:
+                    yield from walk(i + 1, rest, prefix + (chosen,))
+
+    if fewest[0] <= k <= most[0]:
+        yield from walk(0, k, ())
 
 
 def enumerate_covering_selections(

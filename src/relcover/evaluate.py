@@ -14,10 +14,20 @@ covering-selection sign (-1)^(k - n) is the product of the per-function
 signs (-1)^(|S_i| - 1), so the simplified route folds one signed union map
 per function by OR-convolution and merges equal masks as they appear; the
 classical route accumulates its subset unions into the same kind of map.
-The map is summed as coefficient times the product of component
-reliabilities with `math.fsum`, which is correctly rounded and therefore
-order-independent: equal maps give bit-identical results, run to run and
-route to route.
+
+Functions whose supports (the components of all their implementations)
+are linked, directly or through other functions, form one group; groups
+share no component, so they are independent modules in the sense of
+Birnbaum & Esary (1965) and R is the product of the groups' reliabilities.
+The simplified route folds each group on its own, so a 4^5 system with no
+sharing folds five maps of 15 masks instead of one of 759,375.  The
+classical route still builds its one map and projects it onto each group's
+support; each per-function map sums to 1, so a projection is exactly that
+group's folded map.  A group's map is summed as coefficient times the
+product of component reliabilities with `math.fsum`, which is correctly
+rounded and therefore order-independent, and the group sums are multiplied
+in ascending support order: equal maps give bit-identical results, run to
+run and route to route.
 """
 
 from __future__ import annotations
@@ -142,6 +152,38 @@ def _signed_sum(coefficients: dict[int, int], reliabilities: list[float]) -> flo
     )
 
 
+def _groups(functions: list[list[int]]) -> list[tuple[int, list[list[int]]]]:
+    """(support, member functions) per group of functions sharing no component.
+
+    Functions whose supports intersect are merged, transitively.  Supports
+    of different groups are disjoint and non-empty, so sorting by support
+    gives one order whatever the order of the functions.
+    """
+    groups: list[tuple[int, list[list[int]]]] = []
+    for masks in functions:
+        support = 0
+        for m in masks:
+            support |= m
+        members = [masks]
+        apart = []
+        for other, other_members in groups:
+            if other & support:
+                support |= other
+                members += other_members
+            else:
+                apart.append((other, other_members))
+        groups = apart + [(support, members)]
+    return sorted(groups, key=lambda group: group[0])
+
+
+def _product_of_sums(maps: list[dict[int, int]], reliabilities: list[float]) -> float:
+    """R as the product of the groups' signed sums, in the order given."""
+    product = 1.0
+    for coefficients in maps:
+        product *= _signed_sum(coefficients, reliabilities)
+    return product
+
+
 def reliability_simplified(
     spec: SystemSpec, cap_terms: int | None = DEFAULT_TERM_CAP
 ) -> EvaluationReport:
@@ -149,18 +191,22 @@ def reliability_simplified(
 
     Sums (-1)^(k - n) * P(all selected implementations work) over covering
     selections of every cardinality k = n..m, with selections of equal union
-    mask merged as the functions are folded together.
+    mask merged as the functions are folded together.  Each group of
+    functions sharing no component with the rest is folded on its own and
+    the group sums are multiplied; `distinct_product_count` is the product
+    of the group map sizes, which is the number of distinct covering-
+    selection unions because the group supports are disjoint.
     """
     start = time.perf_counter()
     masks, reliabilities = _prepare(spec)
     term_count = comb_mod.count_terms_simplified(spec.shape)
     _check_term_cap(term_count, cap_terms)
-    coefficients = _fold(masks)
+    maps = [_fold(functions) for _, functions in _groups(masks)]
     return EvaluationReport(
         method=Method.SIMPLIFIED,
-        reliability=_signed_sum(coefficients, reliabilities),
+        reliability=_product_of_sums(maps, reliabilities),
         term_count=term_count,
-        distinct_product_count=len(coefficients),
+        distinct_product_count=math.prod(len(coefficients) for coefficients in maps),
         wall_time=time.perf_counter() - start,
     )
 
@@ -180,9 +226,10 @@ def reliability_classical(
     """Exact reliability via inclusion-exclusion over subsets of W.
 
     Enumerates subsets of W with `_signed_unions` and merges equal union
-    masks before summing.  `budget_seconds` aborts long runs with
-    EvaluationTimeout; the benchmark treats that as a data point rather than
-    a failure.
+    masks into one map, then sums that map's projection onto each group of
+    independent functions, as the simplified route does.  `budget_seconds`
+    aborts long runs with EvaluationTimeout; the benchmark treats that as a
+    data point rather than a failure.
     """
     start = time.perf_counter()
     masks, reliabilities = _prepare(spec)
@@ -202,9 +249,15 @@ def reliability_classical(
                 )
         coefficients[union] = coefficients.get(union, 0) + sign
 
+    supports = [support for support, _ in _groups(masks)]
+    maps: list[dict[int, int]] = [{} for _ in supports]
+    for union, c in coefficients.items():
+        for support, own in zip(supports, maps):
+            own[union & support] = own.get(union & support, 0) + c
+
     return EvaluationReport(
         method=Method.CLASSICAL,
-        reliability=_signed_sum(coefficients, reliabilities),
+        reliability=_product_of_sums(maps, reliabilities),
         term_count=term_count,
         distinct_product_count=len(coefficients),
         wall_time=time.perf_counter() - start,

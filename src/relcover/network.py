@@ -12,6 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .errors import CapExceeded
+
+# `_simple_paths` refuses to yield more paths than this: a 7x7 grid with
+# edges both ways already has 575,780,564 corner-to-corner simple paths.
+MAX_SIMPLE_PATHS = 1 << 20
+
+
+def integer_field(value: object, what: str) -> int:
+    """A JSON id: an integer, or a float with an integral value; never a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class DoorNetwork:
@@ -64,7 +79,7 @@ class DoorNetwork:
         try:
             nodes = tuple(str(entry["name"]) for entry in doc["nodes"])
             node_components = {
-                str(entry["name"]): int(entry["component"])
+                str(entry["name"]): integer_field(entry["component"], "node component")
                 for entry in doc["nodes"]
                 if "component" in entry
             }
@@ -72,7 +87,9 @@ class DoorNetwork:
                 (str(entry["from"]), str(entry["to"])) for entry in doc["edges"]
             )
             edge_components = {
-                (str(entry["from"]), str(entry["to"])): int(entry["component"])
+                (str(entry["from"]), str(entry["to"])): integer_field(
+                    entry["component"], "edge component"
+                )
                 for entry in doc["edges"]
                 if "component" in entry
             }
@@ -90,6 +107,7 @@ def _simple_paths(
     """Every simple source-to-sink path, by iterative depth-first search.
 
     Duplicate edges count once; source == sink gives the one-node path.
+    Raises CapExceeded rather than yield more than MAX_SIMPLE_PATHS paths.
     """
     if source == sink:
         yield [source]
@@ -99,9 +117,16 @@ def _simple_paths(
         successors.setdefault(u, []).append(v)
     path = [source]
     stack = [iter(successors.get(source, ()))]
+    found = 0
     while stack:
         for v in stack[-1]:
             if v == sink:
+                found += 1
+                if found > MAX_SIMPLE_PATHS:
+                    raise CapExceeded(
+                        f"more than {MAX_SIMPLE_PATHS} simple paths "
+                        f"from {source!r} to {sink!r}"
+                    )
                 yield path + [v]
             elif v not in path:
                 path.append(v)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GenerationError
-from .network import DoorNetwork
+from .network import DoorNetwork, integer_field
 
 # Dense component identifier, 0..z-1.
 ComponentId = int
@@ -408,24 +408,28 @@ def system_to_dict(spec: SystemSpec) -> dict:
 def system_from_dict(doc: dict) -> SystemSpec:
     try:
         components = tuple(
-            Component(int(c["id"]), float(c["reliability"])) for c in doc["components"]
+            Component(integer_field(c["id"], "component id"), float(c["reliability"]))
+            for c in doc["components"]
         )
         functions = tuple(
             tuple(
                 Implementation(
                     i,
                     j,
-                    frozenset(int(c) for c in entry["components"]),
+                    frozenset(
+                        integer_field(c, "implementation component")
+                        for c in entry["components"]
+                    ),
                     label=str(entry.get("label", "")),
                 )
                 for j, entry in enumerate(function)
             )
             for i, function in enumerate(doc["functions"])
         )
-    except (KeyError, TypeError) as exc:
+        network = DoorNetwork.from_dict(doc["network"]) if "network" in doc else None
+        claimed = {key: float(doc[key]) for key in _CLAIM_KEYS if key in doc}
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed system document: missing or bad field ({exc})") from exc
-    network = DoorNetwork.from_dict(doc["network"]) if "network" in doc else None
-    claimed = {key: float(doc[key]) for key in _CLAIM_KEYS if key in doc}
     return SystemSpec(
         name=str(doc.get("name", "")),
         components=components,
@@ -449,6 +453,8 @@ def load_system(path: str | Path) -> SystemSpec:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply to load") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return system_from_dict(doc)

@@ -82,6 +82,39 @@ def test_eval_missing_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_eval_deeply_nested_json_exits_1(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, _, err = run(capsys, "eval", deep)
+    assert code == 1
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("id", 0.9),
+        ("id", True),
+        ("id", "0"),
+        ("implementation", 0.2),
+        ("implementation", False),
+    ],
+)
+def test_eval_rejects_non_integer_ids(capsys, fixtures_dir, tmp_path, field, value):
+    doc = json.loads((fixtures_dir / "t1.json").read_text())
+    if field == "id":
+        doc["components"][0]["id"] = value
+    else:
+        doc["functions"][0][0]["components"][0] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", path)
+    assert code == 1
+    assert out == ""
+    assert "must be an integer" in err
+
+
 def test_eval_cap_gives_exit_2(capsys, fixtures_dir):
     code, _, err = run(capsys, "eval", fixtures_dir / "t1.json", "--cap-terms", "3")
     assert code == 2
@@ -243,6 +276,16 @@ def test_paths_unreachable_terminal(capsys, tmp_path):
     code, _, err = run(capsys, "paths", path)
     assert code == 1
     assert "unreachable" in err
+
+
+def test_paths_cap_gives_exit_2(capsys, fixtures_dir, monkeypatch):
+    import relcover.network
+
+    monkeypatch.setattr(relcover.network, "MAX_SIMPLE_PATHS", 1)
+    code, out, err = run(capsys, "paths", fixtures_dir / "dms_one_door.json")
+    assert code == 2
+    assert out == ""
+    assert "simple paths" in err
 
 
 # --- search -----------------------------------------------------------------

@@ -127,6 +127,54 @@ def test_exact_routes_are_bit_identical_and_order_free(spec):
     assert reliability_simplified(reversed_system(spec)).reliability == value
 
 
+@st.composite
+def disjoint_unions(draw):
+    """2-4 small random systems side by side, component ids offset, |W| <= 16."""
+    parts = draw(
+        st.lists(
+            st.builds(
+                lambda sizes, components, sharing, seed: generate_random_system(
+                    FamilyShape(tuple(sizes)), components, sharing, seed
+                ),
+                sizes=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+                components=st.integers(2, 3),
+                sharing=st.floats(0.0, 1.0),
+                seed=st.integers(0, 10**6),
+            ),
+            min_size=2,
+            max_size=4,
+        ).filter(lambda parts: math.prod(p.shape.product_size for p in parts) <= 16)
+    )
+    reliabilities, functions = [], []
+    for part in parts:
+        offset = len(reliabilities)
+        reliabilities += [c.reliability for c in part.components]
+        functions += [
+            [{c + offset for c in impl.components} for impl in f] for f in part.functions
+        ]
+    return make_system(reliabilities, functions)
+
+
+@given(spec=disjoint_unions(), data=st.data())
+def test_independent_groups_factor_exactly(spec, data):
+    simplified = reliability_simplified(spec)
+    value = simplified.reliability
+    assert reliability_classical(spec).reliability == value
+    assert value == pytest.approx(float(state_space_reliability(spec)), abs=1e-15)
+
+    order = data.draw(st.permutations(range(len(spec.functions))))
+    shuffled = make_system(
+        [c.reliability for c in spec.components],
+        [[impl.components for impl in spec.functions[i]] for i in order],
+    )
+    assert reliability_simplified(shuffled).reliability == value
+    assert reliability_classical(shuffled).reliability == value
+
+    unions = {e.component_mask for e in term_stream(spec)}
+    assert simplified.distinct_product_count == len(unions)
+    assert simplified.term_count == math.prod((1 << t) - 1 for t in spec.shape.sizes)
+
+
 def test_runs_are_bit_identical():
     spec = generate_random_system(FamilyShape((2, 3)), 10, 0.5, seed=11)
     a = reliability_simplified(spec).reliability

@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from relcover import DoorNetwork, load_system, minimal_paths
+from relcover import CapExceeded, DoorNetwork, load_system, minimal_paths
+from relcover import network
 from relcover.network import _simple_paths
 
 
@@ -63,6 +64,19 @@ def test_dict_round_trip(fixtures_dir):
 def test_from_dict_rejects_malformed():
     with pytest.raises(ValueError):
         DoorNetwork.from_dict({"nodes": [{"name": "a"}]})
+
+
+@pytest.mark.parametrize("value", [0.9, True, "1", float("inf")])
+@pytest.mark.parametrize("where", ["nodes", "edges"])
+def test_from_dict_rejects_non_integer_components(where, value):
+    doc = {
+        "nodes": [{"name": "a", "component": 0}, {"name": "b"}],
+        "edges": [{"from": "a", "to": "b", "component": 1}],
+        "terminals": [{"source": "a", "sink": "b"}],
+    }
+    doc[where][0]["component"] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        DoorNetwork.from_dict(doc)
 
 
 # --- path extraction ------------------------------------------------------
@@ -203,3 +217,26 @@ def test_paths_match_brute_force_enumeration(net):
         sets.add(frozenset(comps))
     minimal = [s for s in sets if not any(other < s for other in sets)]
     assert minimal_paths(net, 0) == sorted(minimal, key=lambda s: (len(s), sorted(s)))
+
+
+def grid_net(k):
+    """k x k grid, edges both ways, one component per node."""
+    nodes = [f"{r},{c}" for r in range(k) for c in range(k)]
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < k and c + dc < k:
+                    u, v = f"{r},{c}", f"{r + dr},{c + dc}"
+                    edges += [(u, v), (v, u)]
+    corner = (nodes[0], nodes[-1])
+    return simple_net(nodes, edges, [corner], {v: i for i, v in enumerate(nodes)})
+
+
+def test_path_enumeration_is_capped(monkeypatch):
+    net = grid_net(3)  # 12 corner-to-corner simple paths
+    monkeypatch.setattr(network, "MAX_SIMPLE_PATHS", 12)
+    assert len(list(_simple_paths(net.edges, *net.terminals[0]))) == 12
+    monkeypatch.setattr(network, "MAX_SIMPLE_PATHS", 11)
+    with pytest.raises(CapExceeded):
+        minimal_paths(net, 0)

@@ -1,10 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relcover import (
     Component,
+    DoorNetwork,
     FamilyShape,
     GenerationError,
     Implementation,
@@ -19,6 +22,8 @@ from relcover import (
     system_to_dict,
     validate_system,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def make_system(reliabilities, functions, name="test"):
@@ -268,6 +273,10 @@ def test_load_rejects_garbage(tmp_path):
     missing_fields.write_text('{"name": "x"}')
     with pytest.raises(ValueError):
         load_system(missing_fields)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_system(deep)
 
 
 def test_network_round_trip(fixtures_dir, tmp_path):
@@ -278,3 +287,100 @@ def test_network_round_trip(fixtures_dir, tmp_path):
     again = load_system(path)
     assert again.network == spec.network
     assert again == spec
+
+
+def test_from_dict_accepts_integral_floats(t1):
+    doc = system_to_dict(t1)
+    doc["components"][0]["id"] = 0.0
+    impl = doc["functions"][0][0]
+    impl["components"] = [float(c) for c in impl["components"]]
+    assert system_from_dict(doc) == system_from_dict(system_to_dict(t1))
+
+
+# --- loader fuzzing ---------------------------------------------------------
+
+_KEYS = (
+    "id", "reliability", "components", "functions", "label", "name", "network",
+    "nodes", "edges", "terminals", "component", "from", "to", "source", "sink",
+    "claimed_reliability",
+)
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.integers(min_value=10**300, max_value=10**310)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4)
+)
+junk = scalars | st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _slots(node):
+    """(container, key) for every value nested in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def mutated_documents(draw, fixture, part=None):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    if part is not None:
+        doc = doc[part]
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        ids = [(c, k) for c, k in slots if type(c[k]) is int]
+        if not slots:
+            break
+        # Half the mutations hit an integer, where the ids are.
+        container, key = draw(st.sampled_from(draw(st.sampled_from([slots, ids or slots]))))
+        if draw(st.booleans()):
+            container[key] = draw(junk)
+        else:
+            del container[key]
+    return doc
+
+
+def _assert_ids_match(net, doc):
+    nodes = [e for e in doc["nodes"] if "component" in e]
+    assert list(net.node_components.values()) == [e["component"] for e in nodes]
+    edges = [e for e in doc["edges"] if "component" in e]
+    assert list(net.edge_components.values()) == [e["component"] for e in edges]
+    values = [*net.node_components.values(), *net.edge_components.values()]
+    assert all(type(v) is int for v in values)
+
+
+@settings(max_examples=150)
+@given(doc=mutated_documents("t1.json") | mutated_documents("dms_two_door.json"))
+def test_system_loader_returns_matching_ids_or_value_error(doc):
+    try:
+        spec = system_from_dict(doc)
+    except ValueError:
+        return
+    assert [c.id for c in spec.components] == [c["id"] for c in doc["components"]]
+    assert [[impl.components for impl in f] for f in spec.functions] == [
+        [frozenset(entry["components"]) for entry in f] for f in doc["functions"]
+    ]
+    ids = [c.id for c in spec.components]
+    ids += [c for impl in spec.implementations() for c in impl.components]
+    assert all(type(c) is int for c in ids)
+    if spec.network is not None:
+        _assert_ids_match(spec.network, doc["network"])
+
+
+@settings(max_examples=150)
+@given(doc=mutated_documents("dms_two_door.json", part="network"))
+def test_network_loader_returns_matching_ids_or_value_error(doc):
+    try:
+        net = DoorNetwork.from_dict(doc)
+    except ValueError:
+        return
+    _assert_ids_match(net, doc)
