@@ -7,7 +7,8 @@ Three routes to P(every function has a working implementation):
   the intentionally expensive baseline and cross-check.
 * simplified: one signed term per covering selection, sign (-1)^(k - n) for
   cardinality k, prod (2^{t_i} - 1) terms in total.
-* monte_carlo: per-component Bernoulli sampling.
+* monte_carlo: per-component Bernoulli sampling, one bit of a Python
+  integer per sample, exact for every float a_c.
 
 Both exact routes reduce to one map {union mask: net coefficient}.  The
 covering-selection sign (-1)^(k - n) is the product of the per-function
@@ -33,12 +34,11 @@ run and route to route.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from . import combinatorics as comb_mod
 from .errors import CapExceeded, EvaluationTimeout, InvalidSystemError
@@ -264,6 +264,28 @@ def reliability_classical(
     )
 
 
+def _bernoulli_word(p: float, width: int, rng: random.Random) -> int:
+    """`width` independent bits, each 1 with probability exactly p, 0 < p < 1.
+
+    Bit j is 1 when a uniform U_j lies below p.  U_j's binary digits come
+    one word at a time and are compared with the digits of p's exact
+    value num / 2^k; a bit is decided at its first digit that differs from
+    p's, and one that matches all k digits has U_j >= p.
+    """
+    num, den = p.as_integer_ratio()
+    word, undecided = 0, (1 << width) - 1
+    for shift in range(den.bit_length() - 2, -1, -1):
+        if not undecided:
+            break
+        digits = rng.getrandbits(width)
+        if (num >> shift) & 1:
+            word |= undecided & ~digits
+            undecided &= digits
+        else:
+            undecided &= ~digits
+    return word
+
+
 def reliability_monte_carlo(
     spec: SystemSpec, samples: int, seed: int
 ) -> EvaluationReport:
@@ -271,32 +293,47 @@ def reliability_monte_carlo(
 
     Each sample draws every component up/down independently; the system
     counts as up when every function has an implementation with all its
-    components up.  Returns the hit rate and its binomial standard error.
+    components up.  Samples are bits of one integer per component and
+    chunk, and each bit is 1 with probability exactly a_c because it
+    compares fair random digits with the binary expansion of a_c (Knuth &
+    Yao, 1976).  Returns the hit rate and its binomial standard error.
     Deterministic for a fixed seed.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     start = time.perf_counter()
-    _, reliabilities = _prepare(spec)
-    rel = np.asarray(reliabilities)
-    functions = [
-        [np.fromiter(sorted(impl.components), dtype=np.int64) for impl in function]
-        for function in spec.functions
-    ]
+    masks, reliabilities = _prepare(spec)
+    # components no implementation uses are never drawn
+    support = 0
+    for function in masks:
+        for mask in function:
+            support |= mask
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     hits = 0
     remaining = samples
     while remaining > 0:
         chunk = min(remaining, _MC_CHUNK)
-        up = rng.random((chunk, rel.size)) < rel
-        ok = np.ones(chunk, dtype=bool)
-        for function in functions:
-            function_up = np.zeros(chunk, dtype=bool)
-            for comp_ids in function:
-                function_up |= up[:, comp_ids].all(axis=1)
+        up = {
+            c: _bernoulli_word(a, chunk, rng)
+            for c, a in enumerate(reliabilities)
+            if support >> c & 1
+        }
+        full = (1 << chunk) - 1
+        ok = full
+        for function in masks:
+            function_up = 0
+            for mask in function:
+                impl_up = full
+                while mask:
+                    low = mask & -mask
+                    impl_up &= up[low.bit_length() - 1]
+                    mask ^= low
+                function_up |= impl_up
             ok &= function_up
-        hits += int(ok.sum())
+        hits += ok.bit_count()
         remaining -= chunk
 
     mean = hits / samples

@@ -107,14 +107,29 @@ def _simple_paths(
     """Every simple source-to-sink path, by iterative depth-first search.
 
     Duplicate edges count once; source == sink gives the one-node path.
-    Raises CapExceeded rather than yield more than MAX_SIMPLE_PATHS paths.
+    The search only enters nodes that can reach the sink, so an unreachable
+    sink costs one backward pass over the edges.  Raises CapExceeded rather
+    than yield more than MAX_SIMPLE_PATHS paths.
     """
     if source == sink:
         yield [source]
         return
+    unique = dict.fromkeys(edges)
+    predecessors: dict[str, list[str]] = {}
+    for u, v in unique:
+        predecessors.setdefault(v, []).append(u)
+    reaches = {sink}
+    frontier = [sink]
+    while frontier:
+        v = frontier.pop()
+        for u in predecessors.get(v, ()):
+            if u not in reaches:
+                reaches.add(u)
+                frontier.append(u)
     successors: dict[str, list[str]] = {}
-    for u, v in dict.fromkeys(edges):
-        successors.setdefault(u, []).append(v)
+    for u, v in unique:
+        if v in reaches:
+            successors.setdefault(u, []).append(v)
     path = [source]
     stack = [iter(successors.get(source, ()))]
     found = 0

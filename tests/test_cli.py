@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,38 @@ def test_eval_monte_carlo(capsys, fixtures_dir):
     assert row["term_count"] == "20000"
     assert float(row["standard_error"]) > 0
     assert abs(float(row["reliability"]) - 0.2668) < 5 * float(row["standard_error"])
+
+
+def test_eval_monte_carlo_negative_seed_exits_1(capsys, fixtures_dir):
+    code, out, err = run(
+        capsys, "eval", fixtures_dir / "t1.json", "--method", "monte-carlo", "--seed", "-3"
+    )
+    assert code == 1
+    assert out == ""
+    assert "seed" in err
+
+
+def test_runs_on_the_standard_library_alone(fixtures_dir):
+    # numpy is blocked; every module the CLI run loads must be stdlib
+    root = fixtures_dir.parent
+    script = f"""
+import sys
+sys.modules["numpy"] = None
+before = set(sys.modules)
+sys.path.insert(0, {str(root / "src")!r})
+from relcover.cli import main
+code = main(["eval", {str(fixtures_dir / "t1.json")!r},
+             "--method", "monte-carlo", "--samples", "1000"])
+loaded = {{name.split(".")[0] for name in set(sys.modules) - before}}
+foreign = loaded - set(sys.stdlib_module_names) - {{"relcover"}}
+assert not foreign, sorted(foreign)
+sys.exit(code)
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "monte_carlo" in done.stdout
 
 
 def test_eval_pretty(capsys, fixtures_dir):

@@ -232,11 +232,22 @@ def test_budget_aborts_long_classical_run():
 # --- sampling ---------------------------------------------------------------
 
 
-def test_monte_carlo_near_exact(t1):
-    rep = reliability_monte_carlo(t1, 200_000, seed=0)
+@pytest.mark.parametrize(
+    "spec, exact",
+    [
+        (None, 0.2668),
+        *(
+            (make_system([p], [[{0}]]), p)
+            for p in (0.05, 0.95, 0.1 + 2**-40)
+        ),
+    ],
+    ids=["t1", "p=0.05", "p=0.95", "p=0.1+2^-40"],
+)
+def test_monte_carlo_near_exact(t1, spec, exact):
+    rep = reliability_monte_carlo(spec or t1, 200_000, seed=0)
     assert rep.samples == 200_000
     assert rep.standard_error is not None and rep.standard_error > 0
-    assert abs(rep.reliability - 0.2668) < 4 * rep.standard_error
+    assert abs(rep.reliability - exact) < 4 * rep.standard_error
 
 
 def test_monte_carlo_deterministic(t1):
@@ -250,11 +261,22 @@ def test_monte_carlo_rejects_bad_samples(t1):
         reliability_monte_carlo(t1, 0, seed=0)
 
 
+def test_monte_carlo_rejects_negative_seed(t1):
+    with pytest.raises(ValueError):
+        reliability_monte_carlo(t1, 10, seed=-3)
+
+
 def test_monte_carlo_chunking_is_seamless(t1):
-    # crossing the chunk boundary must not change the estimate for a seed
-    whole = reliability_monte_carlo(t1, (1 << 17) + 7, seed=1)
+    # one full chunk plus 7 samples: a wrongly sized last chunk or a lost
+    # bit moves these estimates off their exact values
+    samples = (1 << 17) + 7
+    whole = reliability_monte_carlo(t1, samples, seed=1)
     assert 0.0 <= whole.reliability <= 1.0
-    assert whole.term_count == (1 << 17) + 7
+    assert whole.term_count == samples
+    almost_sure = make_system([math.nextafter(1.0, 0.0)], [[{0}]])
+    assert reliability_monte_carlo(almost_sure, samples, seed=1).reliability == 1.0
+    almost_never = make_system([5e-324], [[{0}]])
+    assert reliability_monte_carlo(almost_never, samples, seed=1).reliability == 0.0
 
 
 # --- term streams -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -240,3 +241,18 @@ def test_path_enumeration_is_capped(monkeypatch):
     monkeypatch.setattr(network, "MAX_SIMPLE_PATHS", 11)
     with pytest.raises(CapExceeded):
         minimal_paths(net, 0)
+
+
+def test_unreachable_sink_is_not_searched():
+    # walking every simple path out of a corner of a 6x6 two-way grid takes
+    # about a minute; a sink outside the grid must not start that walk
+    grid = grid_net(6)
+    net = simple_net(
+        (*grid.nodes, "sink"),
+        grid.edges,
+        [(grid.nodes[0], "sink")],
+        grid.node_components,
+    )
+    start = time.perf_counter()
+    assert minimal_paths(net, 0) == []
+    assert time.perf_counter() - start < 5.0
