@@ -89,7 +89,6 @@ def run_bench(
 ) -> list[BenchRow]:
     """One row per shape; every instance is persisted so rows are re-runnable."""
     instance_dir = Path(instance_dir)
-    instance_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for label, sizes in shapes:
         spec = generate_random_system(
@@ -99,6 +98,7 @@ def run_bench(
             seed,
             name=f"bench-{label}-seed{seed}",
         )
+        instance_dir.mkdir(parents=True, exist_ok=True)
         instance_path = instance_dir / f"{label.replace(',', '_')}-seed{seed}.json"
         save_system(spec, instance_path)
         rows.append(bench_system(spec, label, timeout, str(instance_path)))

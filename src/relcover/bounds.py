@@ -140,10 +140,13 @@ def nonmonotonicity_search(
     Each trial draws two random single-function systems and keeps the pair
     when the system with strictly smaller exact reliability has the strictly
     larger relaxed bound.  `margin` keeps knife-edge pairs out so witnesses
-    survive re-evaluation by the classical route.  Deterministic per seed.
+    survive re-evaluation by the classical route.  Deterministic per seed;
+    a negative seed raises ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     shape = FamilyShape((config.events,))
     rng = random.Random(seed)
     witnesses: list[WitnessPair] = []

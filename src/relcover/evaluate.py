@@ -29,6 +29,15 @@ product of component reliabilities with `math.fsum`, which is correctly
 rounded and therefore order-independent, and the group sums are multiplied
 in ascending support order: equal maps give bit-identical results, run to
 run and route to route.
+
+Each product comes in `system.mask_product`'s one order: component ids in
+chunks of CHUNK_BITS, each chunk multiplied from 1.0 in ascending id order,
+the chunk products in ascending chunk order.  The sum of a map with more
+entries than a chunk has values (a connected 4^5 system folds to about
+half a million, with at most about a thousand distinct values in any one
+chunk) computes each chunk value's product once and each mask's product
+as one lookup per chunk, in that same order; smaller maps walk each mask.
+Both give the same floats, so the choice never changes a result.
 """
 
 from __future__ import annotations
@@ -42,7 +51,14 @@ from typing import Iterable, Iterator, Sequence
 
 from . import combinatorics as comb_mod
 from .errors import CapExceeded, EvaluationTimeout, InvalidSystemError
-from .system import SystemSpec, mask_product, reliability_array, validate_system
+from .system import (
+    CHUNK_BITS,
+    CHUNK_MASK,
+    SystemSpec,
+    mask_product,
+    reliability_array,
+    validate_system,
+)
 
 # Exact evaluators refuse term counts beyond this unless overridden.
 DEFAULT_TERM_CAP = (1 << 24) - 1
@@ -145,11 +161,46 @@ def _fold(functions: list[list[int]]) -> dict[int, int]:
     return total
 
 
+def _memoised_terms(
+    coefficients: dict[int, int], reliabilities: Sequence[float] | dict[int, float]
+) -> Iterator[float]:
+    """c * mask_product(mask) for every nonzero entry, from memoised chunks.
+
+    Each distinct value of each CHUNK_BITS-wide chunk has its product
+    computed once, by `mask_product`, and a mask's product multiplies its
+    chunks' products in ascending chunk order from 1.0, which is exactly
+    `mask_product`'s order: the terms are bit-identical to the direct walk.
+    """
+    width = max(coefficients).bit_length()
+    tables: list[tuple[int, dict[int, float]]] = [
+        (shift, {}) for shift in range(0, width, CHUNK_BITS)
+    ]
+    for mask, c in coefficients.items():
+        if c:
+            p = 1.0
+            for shift, table in tables:
+                chunk = mask >> shift & CHUNK_MASK
+                q = table.get(chunk)
+                if q is None:
+                    q = table[chunk] = mask_product(chunk << shift, reliabilities)
+                p *= q
+            yield c * p
+
+
 def _signed_sum(coefficients: dict[int, int], reliabilities: list[float]) -> float:
-    """Correctly rounded sum of c * P(mask), so the map's order never matters."""
-    return math.fsum(
-        c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
-    )
+    """Correctly rounded sum of c * P(mask), so the map's order never matters.
+
+    A map with more entries than a chunk has values takes its products from
+    memoised chunk products; a smaller one would not repay the tables and
+    walks each mask.  Both give the same floats.
+    """
+    if len(coefficients) > 1 << CHUNK_BITS:
+        terms = _memoised_terms(coefficients, reliabilities)
+    else:
+        terms = (
+            c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
+        )
+    return math.fsum(terms)
 
 
 def _groups(functions: list[list[int]]) -> list[tuple[int, list[list[int]]]]:

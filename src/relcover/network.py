@@ -14,8 +14,11 @@ from typing import Iterator
 
 from .errors import CapExceeded
 
-# `_simple_paths` refuses to yield more paths than this: a 7x7 grid with
-# edges both ways already has 575,780,564 corner-to-corner simple paths.
+# `_simple_paths` refuses to extend partial paths more often than this, so
+# the cap bounds the search itself, dead ends included, not only the paths
+# found: a 7x7 grid with edges both ways already has 575,780,564
+# corner-to-corner simple paths, and a 6x6 one whose sink hangs off the
+# corner source alone has one path but 31,811,177 partial paths.
 MAX_SIMPLE_PATHS = 1 << 20
 
 
@@ -108,8 +111,10 @@ def _simple_paths(
 
     Duplicate edges count once; source == sink gives the one-node path.
     The search only enters nodes that can reach the sink, so an unreachable
-    sink costs one backward pass over the edges.  Raises CapExceeded rather
-    than yield more than MAX_SIMPLE_PATHS paths.
+    sink costs one backward pass over the edges.  Every extension of a
+    partial path by one edge counts against MAX_SIMPLE_PATHS, whether it
+    reaches the sink or later dead-ends, and CapExceeded is raised rather
+    than go past the cap.
     """
     if source == sink:
         yield [source]
@@ -132,18 +137,20 @@ def _simple_paths(
             successors.setdefault(u, []).append(v)
     path = [source]
     stack = [iter(successors.get(source, ()))]
-    found = 0
+    extensions = 0
     while stack:
         for v in stack[-1]:
+            if v in path:
+                continue
+            extensions += 1
+            if extensions > MAX_SIMPLE_PATHS:
+                raise CapExceeded(
+                    f"search for simple paths from {source!r} to {sink!r} "
+                    f"needs more than {MAX_SIMPLE_PATHS} path extensions"
+                )
             if v == sink:
-                found += 1
-                if found > MAX_SIMPLE_PATHS:
-                    raise CapExceeded(
-                        f"more than {MAX_SIMPLE_PATHS} simple paths "
-                        f"from {source!r} to {sink!r}"
-                    )
                 yield path + [v]
-            elif v not in path:
+            else:
                 path.append(v)
                 stack.append(iter(successors.get(v, ())))
                 break

@@ -30,6 +30,10 @@ ComponentId = int
 # a misread file cannot allocate gigabit integers.  Overridable per call.
 DEFAULT_MAX_COMPONENTS = 128
 
+# `mask_product` multiplies component ids in chunks of this many.
+CHUNK_BITS = 16
+CHUNK_MASK = (1 << CHUNK_BITS) - 1
+
 
 @dataclass(frozen=True)
 class Component:
@@ -241,17 +245,30 @@ def reliability_array(spec: SystemSpec) -> list[float]:
 def mask_product(
     mask: int, reliabilities: Sequence[float] | dict[ComponentId, float]
 ) -> float:
-    """prod of a_c over the components in mask, multiplied in ascending id order.
+    """prod of a_c over the components in mask, one chunk of ids at a time.
 
-    The one product primitive behind every route, so equal masks always give
-    bit-identical products.  `reliabilities` is anything indexed by component
-    id: a dense list or `SystemSpec.reliability_by_id()`.
+    Ids fall into chunks of CHUNK_BITS (0..15, 16..31, ...).  Each chunk's
+    product is taken from 1.0 in ascending id order, and the chunk products
+    are multiplied in ascending chunk order; for a mask inside ids 0..15
+    that is the plain ascending product.  This is the one product primitive
+    behind every route, so equal masks always give bit-identical products,
+    and a product assembled from memoised chunk products in the same order
+    (`evaluate._signed_sum` on large maps) is bit-identical too.
+    `reliabilities` is anything indexed by component id: a dense list or
+    `SystemSpec.reliability_by_id()`.
     """
     p = 1.0
+    base = 0
     while mask:
-        low = mask & -mask
-        p *= reliabilities[low.bit_length() - 1]
-        mask ^= low
+        chunk = mask & CHUNK_MASK
+        q = 1.0
+        while chunk:
+            low = chunk & -chunk
+            q *= reliabilities[base + low.bit_length() - 1]
+            chunk ^= low
+        p *= q
+        mask >>= CHUNK_BITS
+        base += CHUNK_BITS
     return p
 
 
@@ -291,8 +308,11 @@ def generate_random_system(
     already-used component instead of taking a fresh one.  With sharing = 0
     and enough components, implementation sets come out pairwise disjoint.
     Reliabilities are uniform on [0.05, 0.95].  Raises GenerationError when
-    within-function sets cannot be made pairwise distinct.
+    within-function sets cannot be made pairwise distinct, and ValueError for
+    a negative seed, which `random.Random` would silently read as |seed|.
     """
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if components < shape.n:
         raise ValueError(f"need at least {shape.n} components for {shape.n} functions")
     if not (0.0 <= sharing <= 1.0):

@@ -183,6 +183,12 @@ def test_search_rejects_bad_trials():
         nonmonotonicity_search(SearchConfig(), trials=0, seed=0)
 
 
+def test_search_rejects_negative_seed():
+    # random.Random(-1) would silently replay seed 1
+    with pytest.raises(ValueError, match="seed"):
+        nonmonotonicity_search(SearchConfig(), trials=1, seed=-1)
+
+
 def test_witness_fixtures_survive_classical_recheck(fixtures_dir):
     low = load_system(fixtures_dir / "witness_low.json")
     high = load_system(fixtures_dir / "witness_high.json")

@@ -404,6 +404,24 @@ def test_bench_stdout_without_out(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "bench_instances").is_dir()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "2", "2,3"],
+        ["bench", "--shapes", "1x2", "--components", "8"],
+        ["search-nonmonotone", "--trials", "1"],
+    ],
+    ids=["gen", "bench", "search-nonmonotone"],
+)
+def test_negative_seed_exits_1(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "seed" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_malformed_shape(capsys):
     code, _, err = run(capsys, "bench", "--shapes", "axb")
     assert code == 1

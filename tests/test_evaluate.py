@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from relcover import (
     reliability_simplified,
     term_stream,
 )
+from relcover.evaluate import _memoised_terms, _signed_sum
+from relcover.system import CHUNK_BITS, mask_product, reliability_array
 
 
 def make_system(reliabilities, functions, name="test"):
@@ -183,6 +186,78 @@ def test_runs_are_bit_identical():
     c = reliability_classical(spec).reliability
     d = reliability_classical(spec).reliability
     assert c == d
+
+
+# --- products ---------------------------------------------------------------
+
+
+def chunked_product(ids, reliabilities):
+    """The documented order: each chunk from 1.0 by ascending id, chunks ascending."""
+    p = 1.0
+    for chunk in sorted({i // CHUNK_BITS for i in ids}):
+        q = 1.0
+        for i in sorted(ids):
+            if i // CHUNK_BITS == chunk:
+                q *= reliabilities[i]
+        p *= q
+    return p
+
+
+@st.composite
+def product_maps(draw):
+    """A spec of up to 128 components and a coefficient map over its ids."""
+    z = draw(st.one_of(st.just(128), st.integers(1, 128)))
+    reliabilities = draw(
+        st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            min_size=z,
+            max_size=z,
+        )
+    )
+    edges = [i for i in (0, 15, 16, 17, 31, 32, 127) if i < z]
+    ids = st.one_of(st.sampled_from(edges), st.integers(0, z - 1))
+    entries = draw(
+        st.lists(
+            st.tuples(st.sets(ids, max_size=12), st.integers(-3, 3)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    spec = SystemSpec("products", tuple(map(Component, range(z), reliabilities)), ())
+    return spec, {frozenset(members): c for members, c in entries}
+
+
+@given(drawn=product_maps())
+def test_memoised_products_are_bit_identical(drawn):
+    spec, by_set = drawn
+    coefficients = {sum(1 << i for i in ids): c for ids, c in by_set.items()}
+    for reliabilities in (reliability_array(spec), spec.reliability_by_id()):
+        for ids in by_set:
+            mask = sum(1 << i for i in ids)
+            product = mask_product(mask, reliabilities)
+            assert product.hex() == chunked_product(ids, reliabilities).hex()
+            if mask < 1 << CHUNK_BITS:
+                assert product == math.prod(reliabilities[i] for i in sorted(ids))
+        direct = [
+            c * mask_product(mask, reliabilities)
+            for mask, c in coefficients.items()
+            if c
+        ]
+        memoised = list(_memoised_terms(coefficients, reliabilities))
+        assert [t.hex() for t in memoised] == [t.hex() for t in direct]
+
+
+def test_large_map_sum_equals_the_direct_sum():
+    rng = random.Random(5)
+    reliabilities = [rng.uniform(0.05, 0.95) for _ in range(40)]
+    coefficients = {
+        rng.getrandbits(40): rng.randint(-3, 3) for _ in range((1 << CHUNK_BITS) + 1000)
+    }
+    assert len(coefficients) > 1 << CHUNK_BITS
+    expected = math.fsum(
+        c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
+    )
+    assert _signed_sum(coefficients, reliabilities) == expected
 
 
 def test_reliability_stays_in_unit_interval():

@@ -235,10 +235,28 @@ def grid_net(k):
 
 
 def test_path_enumeration_is_capped(monkeypatch):
-    net = grid_net(3)  # 12 corner-to-corner simple paths
-    monkeypatch.setattr(network, "MAX_SIMPLE_PATHS", 12)
+    # 12 corner-to-corner simple paths, found in 50 extensions of a partial
+    # path: 12 onto the sink and 38 onto inner nodes
+    net = grid_net(3)
+    monkeypatch.setattr(network, "MAX_SIMPLE_PATHS", 50)
     assert len(list(_simple_paths(net.edges, *net.terminals[0]))) == 12
-    monkeypatch.setattr(network, "MAX_SIMPLE_PATHS", 11)
+    monkeypatch.setattr(network, "MAX_SIMPLE_PATHS", 49)
+    with pytest.raises(CapExceeded):
+        minimal_paths(net, 0)
+
+
+def test_path_cap_counts_dead_ends(monkeypatch):
+    # the sink hangs off the corner alone, so the one path is found at once
+    # and the search then walks 153,744 partial paths that lead nowhere; the
+    # cap must stop that walk although no second path is ever found
+    grid = grid_net(5)
+    net = simple_net(
+        (*grid.nodes, "sink"),
+        (*grid.edges, (grid.nodes[0], "sink")),
+        [(grid.nodes[0], "sink")],
+        grid.node_components,
+    )
+    monkeypatch.setattr(network, "MAX_SIMPLE_PATHS", 1000)
     with pytest.raises(CapExceeded):
         minimal_paths(net, 0)
 

@@ -242,6 +242,12 @@ def test_generator_rejects_bad_sharing():
         generate_random_system(FamilyShape((2,)), 4, 1.5, seed=0)
 
 
+def test_generator_rejects_negative_seed():
+    # random.Random(-5) would silently draw the seed-5 system
+    with pytest.raises(ValueError, match="seed"):
+        generate_random_system(FamilyShape((2, 3)), 9, 0.5, seed=-5)
+
+
 # --- file round trip ------------------------------------------------------
 
 
