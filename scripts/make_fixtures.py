@@ -22,8 +22,8 @@ from relcover import (
     Implementation,
     SearchConfig,
     SystemSpec,
+    door_functions,
     generate_random_system,
-    minimal_paths,
     nonmonotonicity_search,
     save_system,
 )
@@ -98,13 +98,7 @@ def one_door() -> SystemSpec:
         terminals=(("dsw", "act"),),
     )
     reliabilities = [0.97, 0.93, 0.91, 0.96, 0.94, 0.98]
-    functions = tuple(
-        tuple(
-            Implementation(i, j, s, label=f"P{i + 1}.{j + 1}")
-            for j, s in enumerate(minimal_paths(net, i))
-        )
-        for i in range(len(net.terminals))
-    )
+    functions = door_functions(net)
     comps = tuple(Component(i, r) for i, r in enumerate(reliabilities))
     return SystemSpec("dms-one-door", comps, functions, network=net)
 
@@ -142,13 +136,7 @@ def two_door() -> SystemSpec:
         terminals=(("dsw1", "act1"), ("dsw2", "act2")),
     )
     reliabilities = [0.97, 0.96, 0.93, 0.90, 0.92, 0.91, 0.95, 0.88, 0.89, 0.98, 0.97]
-    functions = tuple(
-        tuple(
-            Implementation(i, j, s, label=f"P{i + 1}.{j + 1}")
-            for j, s in enumerate(minimal_paths(net, i))
-        )
-        for i in range(len(net.terminals))
-    )
+    functions = door_functions(net)
     comps = tuple(Component(i, r) for i, r in enumerate(reliabilities))
     return SystemSpec("dms-two-door", comps, functions, network=net)
 

@@ -22,7 +22,6 @@ from .bounds import (
 from .combinatorics import (
     CoveringSelection,
     DisjointFamily,
-    ProductPoint,
     alternating_coefficient_sum,
     coefficient_count,
     coefficient_count_bruteforce,
@@ -30,7 +29,6 @@ from .combinatorics import (
     count_terms_classical,
     count_terms_simplified,
     enumerate_covering_selections,
-    enumerate_product_space,
     subset_product_size,
 )
 from .errors import CapExceeded, EvaluationTimeout, GenerationError, InvalidSystemError
@@ -53,6 +51,7 @@ from .system import (
     SystemSpec,
     ValidationReport,
     Violation,
+    door_functions,
     dumps_system,
     generate_random_system,
     implementation_probability,
@@ -80,7 +79,6 @@ __all__ = [
     "Implementation",
     "InvalidSystemError",
     "Method",
-    "ProductPoint",
     "SearchConfig",
     "SystemSpec",
     "TermEvent",
@@ -97,9 +95,9 @@ __all__ = [
     "count_terms_classical",
     "count_terms_simplified",
     "dawson_sankoff_bound",
+    "door_functions",
     "dumps_system",
     "enumerate_covering_selections",
-    "enumerate_product_space",
     "exact_union_probability",
     "generate_random_system",
     "implementation_probability",

@@ -32,6 +32,10 @@ from .system import (
     validate_system,
 )
 
+# A witness pair must beat both orderings by more than this, so knife-edge
+# pairs stay out and witnesses survive re-evaluation by the classical route.
+WITNESS_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class BoundSummary:
@@ -130,18 +134,14 @@ def exact_union_probability(spec: SystemSpec) -> float:
 
 
 def nonmonotonicity_search(
-    config: SearchConfig,
-    trials: int,
-    seed: int,
-    margin: float = 1e-12,
+    config: SearchConfig, trials: int, seed: int
 ) -> list[WitnessPair]:
     """Hunt for pairs where the bound ordering contradicts the exact ordering.
 
     Each trial draws two random single-function systems and keeps the pair
     when the system with strictly smaller exact reliability has the strictly
-    larger relaxed bound.  `margin` keeps knife-edge pairs out so witnesses
-    survive re-evaluation by the classical route.  Deterministic per seed;
-    a negative seed raises ValueError.
+    larger relaxed bound, both by more than WITNESS_MARGIN.  Deterministic
+    per seed; a negative seed raises ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -175,7 +175,7 @@ def nonmonotonicity_search(
         rel_low, rel_high = min(rel_x, rel_y), max(rel_x, rel_y)
         lb_low = bound_summary(low).bound_relaxed
         lb_high = bound_summary(high).bound_relaxed
-        if rel_low < rel_high - margin and lb_low > lb_high + margin:
+        if rel_low < rel_high - WITNESS_MARGIN and lb_low > lb_high + WITNESS_MARGIN:
             witnesses.append(
                 WitnessPair(
                     trial=trial,

@@ -4,10 +4,6 @@ Subcommands: eval, count, bench, bounds, gen, paths, search-nonmonotone.
 Tabular output is CSV with a fixed header; --pretty renders the same rows
 as aligned text.  Exit codes: 0 success, 1 input or validation error,
 2 a cap or timeout stopped the run.
-
-Environment overrides: RELCOVER_CAP_TERMS replaces the default exact-method
-term cap, RELCOVER_TIMEOUT_SECONDS the default benchmark budget.  Explicit
-flags beat the environment.
 """
 
 from __future__ import annotations
@@ -15,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -36,11 +31,10 @@ from .evaluate import (
     reliability_simplified,
 )
 from .combinatorics import count_terms_classical, count_terms_simplified
-from .network import minimal_paths
 from .system import (
     FamilyShape,
-    Implementation,
     SystemSpec,
+    door_functions,
     dumps_system,
     generate_random_system,
     load_system,
@@ -56,22 +50,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage problems; here malformed input is exit 1.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw else default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
-
-
-def _term_cap(args) -> int | None:
-    if args.cap_terms is not None:
-        return args.cap_terms if args.cap_terms > 0 else None
-    return _env_int("RELCOVER_CAP_TERMS", DEFAULT_TERM_CAP)
 
 
 def _parse_sizes(n: int, raw: str) -> tuple[int, ...]:
@@ -122,7 +100,7 @@ def _emit_table(header: Sequence[str], rows: Sequence[Sequence[str]], pretty: bo
 
 def cmd_eval(args) -> int:
     spec = load_system(args.file)
-    cap = _term_cap(args)
+    cap = args.cap_terms if args.cap_terms > 0 else None
     method = Method(args.method.replace("-", "_"))
     if method is Method.SIMPLIFIED:
         report = reliability_simplified(spec, cap_terms=cap)
@@ -170,11 +148,6 @@ def cmd_count(args) -> int:
 
 def cmd_bench(args) -> int:
     shapes = [_parse_shape_token(token) for token in args.shapes]
-    timeout = (
-        args.timeout
-        if args.timeout is not None
-        else _env_float("RELCOVER_TIMEOUT_SECONDS", 400.0)
-    )
     if args.out:
         instance_dir = Path(args.out).with_suffix("").as_posix() + "_instances"
     else:
@@ -184,7 +157,7 @@ def cmd_bench(args) -> int:
         components=args.components,
         sharing=args.sharing,
         seed=args.seed,
-        timeout=timeout,
+        timeout=args.timeout,
         instance_dir=instance_dir,
     )
     text = rows_to_csv(rows)
@@ -255,10 +228,9 @@ def cmd_paths(args) -> int:
     spec = load_system(args.file)
     if spec.network is None:
         raise ValueError(f"{args.file}: no network block to derive paths from")
-    functions = []
-    for i in range(len(spec.network.terminals)):
-        sets = minimal_paths(spec.network, i)
-        if not sets:
+    functions = door_functions(spec.network)
+    for i, function in enumerate(functions):
+        if not function:
             src, sink = spec.network.terminals[i]
             print(
                 f"warning: terminal pair {i} ({src} -> {sink}) is unreachable; "
@@ -266,16 +238,10 @@ def cmd_paths(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        functions.append(
-            tuple(
-                Implementation(i, j, s, label=f"P{i + 1}.{j + 1}")
-                for j, s in enumerate(sets)
-            )
-        )
     derived = SystemSpec(
         name=spec.name,
         components=spec.components,
-        functions=tuple(functions),
+        functions=functions,
         network=spec.network,
         claimed=dict(spec.claimed),
     )
@@ -326,10 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="relcover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_flags(p):
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--csv", action="store_true", help="CSV output (default)")
-        group.add_argument("--pretty", action="store_true", help="aligned text output")
+    def add_pretty_flag(p):
+        p.add_argument("--pretty", action="store_true", help="aligned text output")
 
     p = sub.add_parser("eval", help="evaluate a system file")
     p.add_argument("file")
@@ -341,14 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=None)
-    p.add_argument("--cap-terms", type=int, default=None, help="0 disables the cap")
-    add_output_flags(p)
+    p.add_argument(
+        "--cap-terms", type=int, default=DEFAULT_TERM_CAP, help="0 disables the cap"
+    )
+    add_pretty_flag(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("count", help="term-count predictors for a shape")
     p.add_argument("functions", type=int)
     p.add_argument("sizes", help="comma-separated t_i list, one per function")
-    add_output_flags(p)
+    add_pretty_flag(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("bench", help="time both exact evaluators per shape")
@@ -356,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, default=40)
     p.add_argument("--sharing", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=None, help="seconds, default 400")
+    p.add_argument("--timeout", type=float, default=400.0, help="seconds, default 400")
     p.add_argument("--out", default=None, help="CSV path; instances persist next to it")
-    add_output_flags(p)
+    add_pretty_flag(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("bounds", help="moment bounds for a single-function system")
     p.add_argument("file")
-    add_output_flags(p)
+    add_pretty_flag(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("gen", help="generate a random system file")
@@ -392,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sharing", type=float, default=0.5)
     p.add_argument("--max-impl-size", type=int, default=3)
     p.add_argument("--out", default=None, help="prefix for the first witness pair")
-    add_output_flags(p)
+    add_pretty_flag(p)
     p.set_defaults(func=cmd_search)
 
     return parser

@@ -25,13 +25,6 @@ from typing import Hashable, Iterable, Iterator, Sequence
 from .errors import CapExceeded
 from .system import FamilyShape
 
-# One point of W: a 0-based implementation index for every function.
-ProductPoint = tuple[int, ...]
-
-# Enumerating W is refused beyond this many points unless the caller raises
-# the cap knowingly; the classical evaluator's cost is 2^|W|.
-DEFAULT_ENUMERATION_CAP = 1 << 24
-
 # coefficient_count_bruteforce refuses product spaces larger than this.
 DEFAULT_BRUTEFORCE_CAP = 22
 
@@ -111,17 +104,6 @@ class DisjointFamily:
         for block in self.blocks:
             out *= len(block)
         return out
-
-
-def enumerate_product_space(
-    shape: FamilyShape, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[ProductPoint]:
-    """All of W in lexicographic order; refuses |W| beyond `cap`."""
-    if shape.product_size > cap:
-        raise CapExceeded(
-            f"product space has {shape.product_size} points, cap is {cap}"
-        )
-    return itertools.product(*(range(t) for t in shape.sizes))
 
 
 def _function_subsets(sizes: Sequence[int]) -> list[list[tuple[int, tuple[int, ...]]]]:

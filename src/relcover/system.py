@@ -21,14 +21,14 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GenerationError
-from .network import DoorNetwork, integer_field
+from .network import DoorNetwork, integer_field, minimal_paths
 
 # Dense component identifier, 0..z-1.
 ComponentId = int
 
 # Systems wider than this are rejected by validation; masks stay cheap and
-# a misread file cannot allocate gigabit integers.  Overridable per call.
-DEFAULT_MAX_COMPONENTS = 128
+# a misread file cannot allocate gigabit integers.
+MAX_COMPONENTS = 128
 
 # `mask_product` multiplies component ids in chunks of this many.
 CHUNK_BITS = 16
@@ -143,13 +143,11 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_system(
-    spec: SystemSpec, max_components: int = DEFAULT_MAX_COMPONENTS
-) -> ValidationReport:
+def validate_system(spec: SystemSpec) -> ValidationReport:
     """Check every structural invariant; violations are data, not exceptions.
 
-    Checks: component ids dense and unique, component count within the mask
-    width, reliabilities inside the open interval (0, 1), at least one
+    Checks: component ids dense and unique, at most MAX_COMPONENTS
+    components, reliabilities inside the open interval (0, 1), at least one
     function, every function non-empty, every implementation non-empty and
     referencing known components, stored indices matching list positions,
     and within-function implementation component sets pairwise distinct.
@@ -164,11 +162,11 @@ def validate_system(
                 f"component ids must be exactly 0..{len(ids) - 1}, got {sorted(ids)}",
             )
         )
-    if len(ids) > max_components:
+    if len(ids) > MAX_COMPONENTS:
         bad.append(
             Violation(
                 "too-many-components",
-                f"{len(ids)} components exceeds the mask width cap {max_components}",
+                f"{len(ids)} components exceeds the mask width cap {MAX_COMPONENTS}",
             )
         )
     for c in spec.components:
@@ -292,6 +290,21 @@ def intersection_probability(spec: SystemSpec, impls: Sequence[Implementation]) 
         _require_member(spec, impl)
         union |= impl.mask
     return mask_product(union, spec.reliability_by_id())
+
+
+def door_functions(net: DoorNetwork) -> tuple[tuple[Implementation, ...], ...]:
+    """One function per terminal pair, its implementations the minimal paths.
+
+    Implementation j of function i is labelled "P{i+1}.{j+1}".  A pair whose
+    sink is unreachable gives an empty function, which validation rejects.
+    """
+    return tuple(
+        tuple(
+            Implementation(i, j, s, label=f"P{i + 1}.{j + 1}")
+            for j, s in enumerate(minimal_paths(net, i))
+        )
+        for i in range(len(net.terminals))
+    )
 
 
 def generate_random_system(

@@ -160,13 +160,21 @@ def test_eval_cap_zero_disables(capsys, fixtures_dir):
     assert code == 0
 
 
-def test_cap_env_override(capsys, fixtures_dir, monkeypatch):
-    monkeypatch.setenv("RELCOVER_CAP_TERMS", "3")
-    code, _, _ = run(capsys, "eval", fixtures_dir / "t1.json")
+def test_eval_live_mask_cap_gives_exit_2(capsys, fixtures_dir, monkeypatch):
+    import relcover.evaluate
+
+    monkeypatch.setattr(relcover.evaluate, "MAX_LIVE_MASKS", 1)
+    code, out, err = run(capsys, "eval", fixtures_dir / "dms_two_door.json")
     assert code == 2
-    # explicit flag beats the environment
-    code, _, _ = run(capsys, "eval", fixtures_dir / "t1.json", "--cap-terms", "0")
-    assert code == 0
+    assert out == ""
+    assert "cap" in err
+
+
+def test_eval_csv_flag_is_gone(capsys, fixtures_dir):
+    code, out, err = run(capsys, "eval", fixtures_dir / "t1.json", "--csv")
+    assert code == 1
+    assert out == ""
+    assert "--csv" in err
 
 
 def test_eval_classical_timeout_gives_exit_2(capsys, tmp_path):

@@ -15,7 +15,6 @@ from relcover import (
     count_terms_classical,
     count_terms_simplified,
     enumerate_covering_selections,
-    enumerate_product_space,
     subset_product_size,
 )
 
@@ -64,20 +63,6 @@ def test_family_accepts_any_hashable_labels():
     fam = DisjointFamily((frozenset({"a", "b"}), frozenset({"c"})))
     assert fam.product_size() == 2
     assert coefficient_count(fam, 2) == 1
-
-
-# --- product space ----------------------------------------------------------
-
-
-def test_product_space_lexicographic():
-    pts = list(enumerate_product_space(FamilyShape((2, 3))))
-    assert pts == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-
-
-def test_product_space_cap():
-    with pytest.raises(CapExceeded):
-        enumerate_product_space(FamilyShape((5, 5)), cap=24)
-    assert len(list(enumerate_product_space(FamilyShape((5, 5)), cap=25))) == 25
 
 
 # --- covering selections ----------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from relcover import (
     CapExceeded,
     Component,
-    EvaluationReport,
     EvaluationTimeout,
     FamilyShape,
     Implementation,
@@ -24,6 +23,7 @@ from relcover import (
     reliability_simplified,
     term_stream,
 )
+from relcover import evaluate
 from relcover.evaluate import _memoised_terms, _signed_sum
 from relcover.system import CHUNK_BITS, mask_product, reliability_array
 
@@ -266,13 +266,6 @@ def test_reliability_stays_in_unit_interval():
     assert 0.0 <= r <= 1.0
 
 
-def test_display_reliability_clamps():
-    rep = EvaluationReport(Method.SIMPLIFIED, 1.0 + 1e-12, 1, 1, 0.0)
-    assert rep.display_reliability == 1.0
-    rep = EvaluationReport(Method.SIMPLIFIED, -1e-12, 1, 1, 0.0)
-    assert rep.display_reliability == 0.0
-
-
 # --- guard rails ------------------------------------------------------------
 
 
@@ -302,6 +295,24 @@ def test_budget_aborts_long_classical_run():
         reliability_classical(spec, cap_terms=None, budget_seconds=0.0)
     ok = reliability_classical(spec, cap_terms=None, budget_seconds=None)
     assert 0.0 <= ok.reliability <= 1.0
+
+
+def test_live_mask_cap_stops_the_fold(monkeypatch):
+    # two functions sharing component 0 fold into 9 distinct unions
+    spec = make_system([0.5] * 5, [[{0, 1}, {0, 2}], [{0, 3}, {0, 4}]])
+    assert reliability_simplified(spec).distinct_product_count == 9
+    monkeypatch.setattr(evaluate, "MAX_LIVE_MASKS", 8)
+    with pytest.raises(CapExceeded):
+        reliability_simplified(spec)
+
+
+def test_live_mask_cap_stops_the_classical_map(monkeypatch):
+    # 2^16 - 1 subsets; the map is checked every 8192 of them
+    spec = generate_random_system(FamilyShape((4, 4)), 12, 0.5, seed=0)
+    assert reliability_classical(spec, cap_terms=None).distinct_product_count > 8
+    monkeypatch.setattr(evaluate, "MAX_LIVE_MASKS", 8)
+    with pytest.raises(CapExceeded):
+        reliability_classical(spec, cap_terms=None)
 
 
 # --- sampling ---------------------------------------------------------------

@@ -22,6 +22,7 @@ from relcover import (
     system_to_dict,
     validate_system,
 )
+from relcover import system
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -106,10 +107,11 @@ def test_index_mismatch_flagged():
     assert "index-mismatch" in kinds
 
 
-def test_width_cap_is_configurable():
+def test_width_cap_is_configurable(monkeypatch):
     spec = make_system([0.5] * 10, [[{0}]])
     assert validate_system(spec).ok
-    assert not validate_system(spec, max_components=5).ok
+    monkeypatch.setattr(system, "MAX_COMPONENTS", 5)
+    assert not validate_system(spec).ok
 
 
 def test_no_functions_flagged():
