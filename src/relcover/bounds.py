@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidSystemError
-from .evaluate import _fold, _signed_sum, reliability_simplified
+from .evaluate import _check_term_cap, _fold, _signed_sum, reliability_simplified
 from .system import (
     FamilyShape,
     SystemSpec,
@@ -124,12 +124,13 @@ def bound_summary(spec: SystemSpec) -> BoundSummary:
 def exact_union_probability(spec: SystemSpec) -> float:
     """Exact P(union of the single function's events), by inclusion-exclusion.
 
-    This is the simplified evaluator's engine on one function: the signed
-    union map of the events, summed with `math.fsum`.  Like pairwise_sums it
-    is indifferent to duplicate component sets, so it can sit next to the
-    bound for any spec the bound accepts.
+    This is the simplified evaluator's engine on one function, with its
+    caps: the 2^t - 1 signed unions of the t events, summed with `math.fsum`.
+    Like pairwise_sums it is indifferent to duplicate component sets, so it
+    can sit next to the bound for any spec the bound accepts.
     """
     masks, reliabilities = _single_function_masks(spec)
+    _check_term_cap((1 << len(masks)) - 1)
     return _signed_sum(_fold([masks]), reliabilities)
 
 

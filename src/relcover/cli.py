@@ -98,10 +98,25 @@ def _emit_table(header: Sequence[str], rows: Sequence[Sequence[str]], pretty: bo
         sys.stdout.write(buf.getvalue())
 
 
+# The methods that read each eval flag; any other method refuses it.
+_EVAL_FLAG_METHODS = {
+    "cap_terms": {Method.CLASSICAL, Method.SIMPLIFIED},
+    "timeout": {Method.CLASSICAL},
+    "samples": {Method.MONTE_CARLO},
+    "seed": {Method.MONTE_CARLO},
+}
+
+
 def cmd_eval(args) -> int:
-    spec = load_system(args.file)
-    cap = args.cap_terms if args.cap_terms > 0 else None
     method = Method(args.method.replace("-", "_"))
+    for flag, methods in _EVAL_FLAG_METHODS.items():
+        if getattr(args, flag) is not None and method not in methods:
+            raise _UsageError(
+                f"--{flag.replace('_', '-')} does not apply to --method {args.method}"
+            )
+    spec = load_system(args.file)
+    cap = DEFAULT_TERM_CAP if args.cap_terms is None else args.cap_terms
+    cap = cap if cap > 0 else None
     if method is Method.SIMPLIFIED:
         report = reliability_simplified(spec, cap_terms=cap)
     elif method is Method.CLASSICAL:
@@ -109,7 +124,8 @@ def cmd_eval(args) -> int:
             spec, cap_terms=cap, budget_seconds=args.timeout
         )
     else:
-        report = reliability_monte_carlo(spec, samples=args.samples, seed=args.seed)
+        samples = 100000 if args.samples is None else args.samples
+        report = reliability_monte_carlo(spec, samples=samples, seed=args.seed or 0)
     header = (
         "method",
         "shape",
@@ -302,11 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["classical", "simplified", "monte-carlo"],
         default="simplified",
     )
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--samples", type=int, help="monte-carlo only, default 100000")
+    p.add_argument("--seed", type=int, help="monte-carlo only, default 0")
+    p.add_argument("--timeout", type=float, help="seconds; classical only, default none")
     p.add_argument(
-        "--cap-terms", type=int, default=DEFAULT_TERM_CAP, help="0 disables the cap"
+        "--cap-terms", type=int, help="exact methods only; default 2^24 - 1, 0 disables"
     )
     add_pretty_flag(p)
     p.set_defaults(func=cmd_eval)

@@ -15,6 +15,8 @@ covering-selection sign (-1)^(k - n) is the product of the per-function
 signs (-1)^(|S_i| - 1), so the simplified route folds one signed union map
 per function by OR-convolution and merges equal masks as they appear; the
 classical route accumulates its subset unions into the same kind of map.
+Both build their maps with one loop, `_accumulate`, which stops past
+MAX_LIVE_MASKS masks or a deadline; the fold's merge checks the same cap.
 
 Functions whose supports (the components of all their implementations)
 are linked, directly or through other functions, form one group; groups
@@ -108,7 +110,7 @@ def _prepare(spec: SystemSpec) -> tuple[list[list[int]], list[float]]:
     return masks, reliability_array(spec)
 
 
-def _check_term_cap(term_count: int, cap_terms: int | None) -> None:
+def _check_term_cap(term_count: int, cap_terms: int | None = DEFAULT_TERM_CAP) -> None:
     if cap_terms is not None and term_count > cap_terms:
         raise CapExceeded(f"{term_count} terms exceeds the cap {cap_terms}")
 
@@ -116,6 +118,26 @@ def _check_term_cap(term_count: int, cap_terms: int | None) -> None:
 def _check_live_masks(coefficients: dict[int, int]) -> None:
     if len(coefficients) > MAX_LIVE_MASKS:
         raise CapExceeded(f"coefficient map passed {MAX_LIVE_MASKS} distinct masks")
+
+
+def _accumulate(
+    terms: Iterable[tuple[int, int]], deadline: float = math.inf
+) -> dict[int, int]:
+    """{mask: summed coefficient} over (mask, coefficient) pairs, zeros kept.
+
+    Every 8192 terms, and at the end, a map past MAX_LIVE_MASKS raises
+    CapExceeded; every 8192 terms a perf_counter past `deadline` raises
+    EvaluationTimeout.
+    """
+    out: dict[int, int] = {}
+    for s, (mask, c) in enumerate(terms, 1):
+        if not s & 8191:
+            _check_live_masks(out)
+            if time.perf_counter() > deadline:
+                raise EvaluationTimeout(f"deadline passed after {s - 1} terms")
+        out[mask] = out.get(mask, 0) + c
+    _check_live_masks(out)
+    return out
 
 
 def _signed_unions(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -142,23 +164,17 @@ def _signed_unions(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
             yield union | high, sign * flip
 
 
-def _signed_map(masks: Sequence[int]) -> dict[int, int]:
-    own: dict[int, int] = {}
-    for union, sign in _signed_unions(masks):
-        own[union] = own.get(union, 0) + sign
-    return own
-
-
 def _fold(functions: list[list[int]]) -> dict[int, int]:
     """{union mask: net coefficient} over every covering selection.
 
     OR-convolution of one signed union map per function.  Zero entries are
     kept, so the keys are exactly the distinct covering-selection unions.
-    A merged map growing past MAX_LIVE_MASKS raises CapExceeded.
+    Own maps come from `_accumulate`; the merge checks MAX_LIVE_MASKS once
+    per outer entry.
     """
-    total = _signed_map(functions[0])
+    total = _accumulate(_signed_unions(functions[0]))
     for masks in functions[1:]:
-        own = _signed_map(masks)
+        own = _accumulate(_signed_unions(masks))
         merged: dict[int, int] = {}
         for a, ca in total.items():
             for b, cb in own.items():
@@ -170,7 +186,7 @@ def _fold(functions: list[list[int]]) -> dict[int, int]:
 
 
 def _memoised_terms(
-    coefficients: dict[int, int], reliabilities: Sequence[float] | dict[int, float]
+    coefficients: dict[int, int], reliabilities: Sequence[float]
 ) -> Iterator[float]:
     """c * mask_product(mask) for every nonzero entry, from memoised chunks.
 
@@ -284,30 +300,19 @@ def reliability_classical(
 ) -> EvaluationReport:
     """Exact reliability via inclusion-exclusion over subsets of W.
 
-    Enumerates subsets of W with `_signed_unions` and merges equal union
-    masks into one map, then sums that map's projection onto each group of
-    independent functions, as the simplified route does.  `budget_seconds`
-    aborts long runs with EvaluationTimeout; the benchmark treats that as a
-    data point rather than a failure.
+    Enumerates subsets of W with `_signed_unions`, merges equal union masks
+    into one capped map with `_accumulate`, then sums that map's projection
+    onto each group of independent functions, as the simplified route does.
+    `budget_seconds` aborts long runs with EvaluationTimeout; the benchmark
+    treats that as a data point rather than a failure.
     """
     start = time.perf_counter()
     masks, reliabilities = _prepare(spec)
-    shape = spec.shape
-    term_count = comb_mod.count_terms_classical(shape)
+    term_count = comb_mod.count_terms_classical(spec.shape)
     _check_term_cap(term_count, cap_terms)
 
-    total_subsets = (1 << shape.product_size) - 1
-    coefficients: dict[int, int] = {}
-    for s, (union, sign) in enumerate(_signed_unions(_point_masks(masks)), 1):
-        if (s & 8191) == 0:
-            _check_live_masks(coefficients)
-            elapsed = time.perf_counter() - start
-            if budget_seconds is not None and elapsed > budget_seconds:
-                raise EvaluationTimeout(
-                    f"classical evaluation aborted after {elapsed:.1f}s, "
-                    f"{s} of {total_subsets} subsets done"
-                )
-        coefficients[union] = coefficients.get(union, 0) + sign
+    deadline = math.inf if budget_seconds is None else start + budget_seconds
+    coefficients = _accumulate(_signed_unions(_point_masks(masks)), deadline)
 
     supports = [support for support, _ in _groups(masks)]
     maps: list[dict[int, int]] = [{} for _ in supports]
@@ -448,8 +453,6 @@ def term_stream(
 
 
 def aggregate_terms(events: Iterable[TermEvent]) -> dict[int, int]:
-    """Net coefficient per component mask; zero entries are dropped."""
-    out: dict[int, int] = {}
-    for event in events:
-        out[event.component_mask] = out.get(event.component_mask, 0) + event.coefficient
+    """Net coefficient per component mask, zeros dropped; capped by `_accumulate`."""
+    out = _accumulate((event.component_mask, event.coefficient) for event in events)
     return {mask: coeff for mask, coeff in out.items() if coeff}

@@ -120,9 +120,6 @@ class SystemSpec:
     def component_count(self) -> int:
         return len(self.components)
 
-    def reliability_by_id(self) -> dict[ComponentId, float]:
-        return {c.id: c.reliability for c in self.components}
-
     def implementations(self) -> Iterator[Implementation]:
         for function in self.functions:
             yield from function
@@ -240,9 +237,7 @@ def reliability_array(spec: SystemSpec) -> list[float]:
     return reliabilities
 
 
-def mask_product(
-    mask: int, reliabilities: Sequence[float] | dict[ComponentId, float]
-) -> float:
+def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
     """prod of a_c over the components in mask, one chunk of ids at a time.
 
     Ids fall into chunks of CHUNK_BITS (0..15, 16..31, ...).  Each chunk's
@@ -252,8 +247,7 @@ def mask_product(
     behind every route, so equal masks always give bit-identical products,
     and a product assembled from memoised chunk products in the same order
     (`evaluate._signed_sum` on large maps) is bit-identical too.
-    `reliabilities` is anything indexed by component id: a dense list or
-    `SystemSpec.reliability_by_id()`.
+    `reliabilities` is the dense list `reliability_array(spec)`.
     """
     p = 1.0
     base = 0
@@ -273,7 +267,7 @@ def mask_product(
 def implementation_probability(spec: SystemSpec, impl: Implementation) -> float:
     """P(implementation works) = prod of a_c over its component set."""
     _require_member(spec, impl)
-    return mask_product(impl.mask, spec.reliability_by_id())
+    return mask_product(impl.mask, reliability_array(spec))
 
 
 def intersection_probability(spec: SystemSpec, impls: Sequence[Implementation]) -> float:
@@ -289,7 +283,7 @@ def intersection_probability(spec: SystemSpec, impls: Sequence[Implementation]) 
     for impl in impls:
         _require_member(spec, impl)
         union |= impl.mask
-    return mask_product(union, spec.reliability_by_id())
+    return mask_product(union, reliability_array(spec))
 
 
 def door_functions(net: DoorNetwork) -> tuple[tuple[Implementation, ...], ...]:

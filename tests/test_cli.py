@@ -177,6 +177,32 @@ def test_eval_csv_flag_is_gone(capsys, fixtures_dir):
     assert "--csv" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "bench_3x3.json --timeout 0 --samples 5 --seed 3",
+            "--timeout does not apply to --method simplified",
+        ),
+        (
+            "bench_2x2.json --method monte-carlo --cap-terms 1 --timeout 0",
+            "--cap-terms does not apply to --method monte-carlo",
+        ),
+        (
+            "t1.json --method classical --samples 7",
+            "--samples does not apply to --method classical",
+        ),
+    ],
+    ids=["simplified", "monte-carlo", "classical"],
+)
+def test_eval_rejects_flags_the_method_ignores(capsys, fixtures_dir, argv, message):
+    name, *flags = argv.split()
+    code, out, err = run(capsys, "eval", fixtures_dir / name, *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_eval_classical_timeout_gives_exit_2(capsys, tmp_path):
     target = tmp_path / "big.json"
     code, _, _ = run(capsys, "gen", "2", "4,4", "--components", "12", "--out", target)
@@ -244,6 +270,37 @@ def test_bounds_needs_single_function(capsys, fixtures_dir):
     code, _, err = run(capsys, "bounds", fixtures_dir / "dms_two_door.json")
     assert code == 1
     assert "single-function" in err
+
+
+@pytest.mark.parametrize(
+    "events, live_masks, message",
+    [
+        # 2^25 - 1 nominal terms, refused before any subset is built
+        (25, None, "terms exceeds the cap"),
+        # 15 masks in the one function's own map
+        (4, 8, "coefficient map passed 8"),
+    ],
+    ids=["term-cap", "map-cap"],
+)
+def test_bounds_cap_gives_exit_2(
+    capsys, tmp_path, monkeypatch, events, live_masks, message
+):
+    import relcover.evaluate
+
+    if live_masks is not None:
+        monkeypatch.setattr(relcover.evaluate, "MAX_LIVE_MASKS", live_masks)
+    # one function of disjoint one-component implementations
+    doc = {
+        "name": f"disjoint-{events}",
+        "components": [{"id": i, "reliability": 0.5} for i in range(events)],
+        "functions": [[{"label": f"E{i}", "components": [i]} for i in range(events)]],
+    }
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bounds", path)
+    assert code == 2
+    assert out == ""
+    assert "cap exceeded" in err and message in err
 
 
 # --- gen --------------------------------------------------------------------

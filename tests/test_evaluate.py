@@ -231,20 +231,18 @@ def product_maps(draw):
 def test_memoised_products_are_bit_identical(drawn):
     spec, by_set = drawn
     coefficients = {sum(1 << i for i in ids): c for ids, c in by_set.items()}
-    for reliabilities in (reliability_array(spec), spec.reliability_by_id()):
-        for ids in by_set:
-            mask = sum(1 << i for i in ids)
-            product = mask_product(mask, reliabilities)
-            assert product.hex() == chunked_product(ids, reliabilities).hex()
-            if mask < 1 << CHUNK_BITS:
-                assert product == math.prod(reliabilities[i] for i in sorted(ids))
-        direct = [
-            c * mask_product(mask, reliabilities)
-            for mask, c in coefficients.items()
-            if c
-        ]
-        memoised = list(_memoised_terms(coefficients, reliabilities))
-        assert [t.hex() for t in memoised] == [t.hex() for t in direct]
+    reliabilities = reliability_array(spec)
+    for ids in by_set:
+        mask = sum(1 << i for i in ids)
+        product = mask_product(mask, reliabilities)
+        assert product.hex() == chunked_product(ids, reliabilities).hex()
+        if mask < 1 << CHUNK_BITS:
+            assert product == math.prod(reliabilities[i] for i in sorted(ids))
+    direct = [
+        c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
+    ]
+    memoised = list(_memoised_terms(coefficients, reliabilities))
+    assert [t.hex() for t in memoised] == [t.hex() for t in direct]
 
 
 def test_large_map_sum_equals_the_direct_sum():
@@ -297,18 +295,41 @@ def test_budget_aborts_long_classical_run():
     assert 0.0 <= ok.reliability <= 1.0
 
 
-def test_live_mask_cap_stops_the_fold(monkeypatch):
-    # two functions sharing component 0 fold into 9 distinct unions
-    spec = make_system([0.5] * 5, [[{0, 1}, {0, 2}], [{0, 3}, {0, 4}]])
-    assert reliability_simplified(spec).distinct_product_count == 9
+@pytest.mark.parametrize(
+    "functions, distinct",
+    [
+        # two functions sharing component 0 fold into 9 distinct unions
+        ([[{0, 1}, {0, 2}], [{0, 3}, {0, 4}]], 9),
+        # one function of 4 disjoint implementations: 15 unions and no merge
+        ([[{0}, {1}, {2}, {3}]], 15),
+    ],
+    ids=["two-functions", "one-function"],
+)
+def test_live_mask_cap_stops_the_fold(monkeypatch, functions, distinct):
+    spec = make_system([0.5] * 5, functions)
+    assert reliability_simplified(spec).distinct_product_count == distinct
     monkeypatch.setattr(evaluate, "MAX_LIVE_MASKS", 8)
     with pytest.raises(CapExceeded):
         reliability_simplified(spec)
+    # the covering-selection stream aggregates to the same map
+    with pytest.raises(CapExceeded):
+        aggregate_terms(term_stream(spec))
+    if len(functions) == 1:
+        with pytest.raises(CapExceeded):
+            exact_union_probability(spec)
 
 
-def test_live_mask_cap_stops_the_classical_map(monkeypatch):
-    # 2^16 - 1 subsets; the map is checked every 8192 of them
-    spec = generate_random_system(FamilyShape((4, 4)), 12, 0.5, seed=0)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # 2^16 - 1 subsets; the map is checked every 8192 of them
+        generate_random_system(FamilyShape((4, 4)), 12, 0.5, seed=0),
+        # 15 subsets with 9 distinct unions: only the final check sees them
+        make_system([0.5] * 4, [[{0}, {1}], [{2}, {3}]]),
+    ],
+    ids=["65535-subsets", "15-subsets"],
+)
+def test_live_mask_cap_stops_the_classical_map(monkeypatch, spec):
     assert reliability_classical(spec, cap_terms=None).distinct_product_count > 8
     monkeypatch.setattr(evaluate, "MAX_LIVE_MASKS", 8)
     with pytest.raises(CapExceeded):
