@@ -1,4 +1,4 @@
-"""Counting and enumeration behind the two exact evaluation routes.
+"""Term counts of the two exact evaluation routes, and reference enumerations.
 
 The classical route expands inclusion-exclusion over W, the product space
 of one-implementation-per-function selections, and touches 2^|W| - 1 terms
@@ -109,8 +109,7 @@ class DisjointFamily:
 def _function_subsets(sizes: Sequence[int]) -> list[list[tuple[int, tuple[int, ...]]]]:
     # Per function: every non-empty subset of implementation indices as a
     # (size, indices) pair, ordered by size then lexicographically.  This
-    # fixed ordering is the basis of the canonical selection order shared by
-    # the enumerators and the simplified evaluator.
+    # fixed ordering is the canonical order of enumerate_covering_selections.
     out = []
     for t in sizes:
         per: list[tuple[int, tuple[int, ...]]] = []
@@ -120,53 +119,36 @@ def _function_subsets(sizes: Sequence[int]) -> list[list[tuple[int, tuple[int, .
     return out
 
 
-def _covering_index_tuples(
-    shape: FamilyShape, k: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # Core enumeration shared with the evaluators: one non-empty subset of
-    # implementation indices per function, in odometer order over the
-    # per-function subset lists, of total size k.  The walk is depth-first
-    # and enters a subset only while size k stays reachable, so no
-    # combination of another size is ever built.
-    subsets = _function_subsets(shape.sizes)
-    n = len(subsets)
-    # Fewest and most indices that functions i.. can still add.
-    fewest = [n - i for i in range(n + 1)]
-    most = list(itertools.accumulate(reversed(shape.sizes), initial=0))[::-1]
-
-    def walk(i: int, room: int, prefix: tuple) -> Iterator[tuple[tuple[int, ...], ...]]:
-        for size, chosen in subsets[i]:
-            rest = room - size
-            if fewest[i + 1] <= rest <= most[i + 1]:
-                if i + 1 == n:
-                    yield prefix + (chosen,)
-                else:
-                    yield from walk(i + 1, rest, prefix + (chosen,))
-
-    if fewest[0] <= k <= most[0]:
-        yield from walk(0, k, ())
-
-
 def enumerate_covering_selections(
     shape: FamilyShape, k: int
 ) -> Iterator[CoveringSelection]:
     """All covering selections of cardinality k, canonical order, no repeats.
 
     A covering selection takes a non-empty subset of each function's
-    implementations; grouping the direct per-function generation by total
-    cardinality gives each k-element cover exactly once.
+    implementations, so each k-element cover comes once from an odometer
+    over the per-function subset lists.  The walk is depth-first and enters
+    a subset only while size k stays reachable, so no combination of
+    another size is ever built.  No evaluator walks this enumeration; the
+    tests use it as an independent reference for the evaluators' terms.
     """
     if not (shape.n <= k <= shape.m):
         raise ValueError(f"k must lie in [{shape.n}, {shape.m}], got {k}")
+    subsets = _function_subsets(shape.sizes)
+    n = len(subsets)
+    # Most indices that functions i.. can still add; the fewest is n - i.
+    most = list(itertools.accumulate(reversed(shape.sizes), initial=0))[::-1]
 
-    def gen() -> Iterator[CoveringSelection]:
-        for per_function in _covering_index_tuples(shape, k):
-            pairs = tuple(
-                (i, j) for i, chosen in enumerate(per_function) for j in chosen
-            )
-            yield CoveringSelection(pairs)
+    def walk(i: int, room: int, prefix: tuple) -> Iterator[CoveringSelection]:
+        for size, chosen in subsets[i]:
+            rest = room - size
+            if n - i - 1 <= rest <= most[i + 1]:
+                pairs = prefix + tuple((i, j) for j in chosen)
+                if i + 1 == n:
+                    yield CoveringSelection(pairs)
+                else:
+                    yield from walk(i + 1, rest, pairs)
 
-    return gen()
+    return walk(0, k, ())
 
 
 def count_covering_selections(shape: FamilyShape, k: int) -> int:

@@ -12,11 +12,12 @@ Three routes to P(every function has a working implementation):
 
 Both exact routes reduce to one map {union mask: net coefficient}.  The
 covering-selection sign (-1)^(k - n) is the product of the per-function
-signs (-1)^(|S_i| - 1), so the simplified route folds one signed union map
-per function by OR-convolution and merges equal masks as they appear; the
-classical route accumulates its subset unions into the same kind of map.
-Both build their maps with one loop, `_accumulate`, which stops past
-MAX_LIVE_MASKS masks or a deadline; the fold's merge checks the same cap.
+signs (-1)^(|S_i| - 1), so every signed term comes from `_signed_unions`:
+the simplified route folds one signed union map per function by
+OR-convolution, `term_stream` yields its picks one by one, and the
+classical route takes the subsets of W.  Every map is built by
+`_accumulate`, which stops past MAX_LIVE_MASKS masks or a deadline, except
+the fold's merge, a tight loop that checks the same cap.
 
 Functions whose supports (the components of all their implementations)
 are linked, directly or through other functions, form one group; groups
@@ -44,6 +45,7 @@ Both give the same floats, so the choice never changes a result.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -301,8 +303,8 @@ def reliability_classical(
     """Exact reliability via inclusion-exclusion over subsets of W.
 
     Enumerates subsets of W with `_signed_unions`, merges equal union masks
-    into one capped map with `_accumulate`, then sums that map's projection
-    onto each group of independent functions, as the simplified route does.
+    into one capped map with `_accumulate`, projects it onto each group of
+    independent functions with `_accumulate` too, and sums the projections.
     `budget_seconds` aborts long runs with EvaluationTimeout; the benchmark
     treats that as a data point rather than a failure.
     """
@@ -315,10 +317,7 @@ def reliability_classical(
     coefficients = _accumulate(_signed_unions(_point_masks(masks)), deadline)
 
     supports = [support for support, _ in _groups(masks)]
-    maps: list[dict[int, int]] = [{} for _ in supports]
-    for union, c in coefficients.items():
-        for support, own in zip(supports, maps):
-            own[union & support] = own.get(union & support, 0) + c
+    maps = [_accumulate((u & s, c) for u, c in coefficients.items()) for s in supports]
 
     return EvaluationReport(
         method=Method.CLASSICAL,
@@ -419,34 +418,35 @@ def term_stream(
     method: Method | str = Method.SIMPLIFIED,
     cap_terms: int | None = DEFAULT_TERM_CAP,
 ) -> Iterator[TermEvent]:
-    """Signed terms of an exact method, in its canonical evaluation order.
+    """Signed terms of an exact method, each one from `_signed_unions`.
 
-    Aggregating coefficients by component_mask and summing
-    coefficient * prod(a_c) reproduces the method's reliability; the two
-    exact methods aggregate to identical coefficient maps.
+    Simplified: per covering selection, the OR of one signed union per
+    function and the product of their signs; functions in spec order, the
+    last varying fastest, each function's subsets in ascending binary-counter
+    order with bit j for implementation j.  Classical: the subsets of W in
+    that counter order.  The term cap is checked at call time.  Aggregating
+    by component_mask and summing coefficient * prod(a_c) reproduces the
+    method's reliability; both methods aggregate to identical maps.
     """
     method = Method(method)
     masks, _ = _prepare(spec)
-    shape = spec.shape
 
     if method is Method.SIMPLIFIED:
-        _check_term_cap(comb_mod.count_terms_simplified(shape), cap_terms)
+        _check_term_cap(comb_mod.count_terms_simplified(spec.shape), cap_terms)
 
         def simplified() -> Iterator[TermEvent]:
-            n, m = shape.n, shape.m
-            for k in range(n, m + 1):
-                coeff = 1 if (k - n) % 2 == 0 else -1
-                for per_function in comb_mod._covering_index_tuples(shape, k):
-                    union = 0
-                    for i, chosen in enumerate(per_function):
-                        for j in chosen:
-                            union |= masks[i][j]
-                    yield TermEvent(union, coeff)
+            # product() materialises each function's unions on the first next()
+            for picks in itertools.product(*map(_signed_unions, masks)):
+                union, sign = 0, 1
+                for u, s in picks:
+                    union |= u
+                    sign *= s
+                yield TermEvent(union, sign)
 
         return simplified()
 
     if method is Method.CLASSICAL:
-        _check_term_cap(comb_mod.count_terms_classical(shape), cap_terms)
+        _check_term_cap(comb_mod.count_terms_classical(spec.shape), cap_terms)
         return (TermEvent(u, sign) for u, sign in _signed_unions(_point_masks(masks)))
 
     raise ValueError("term streams exist only for the exact methods")

@@ -54,8 +54,9 @@ class DoorNetwork:
         for name in self.node_components:
             if name not in known:
                 raise ValueError(f"component mapping for unknown node {name!r}")
+        edges = set(self.edges)
         for pair in self.edge_components:
-            if pair not in set(self.edges):
+            if pair not in edges:
                 raise ValueError(f"component mapping for unknown edge {pair!r}")
 
     def to_dict(self) -> dict:

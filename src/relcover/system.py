@@ -264,10 +264,21 @@ def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
     return p
 
 
+def _checked_reliabilities(spec: SystemSpec) -> list[float]:
+    ids = sorted(c.id for c in spec.components)
+    if ids != list(range(len(ids))):
+        dense = f"0..{len(ids) - 1}"
+        raise ValueError(f"component ids of system {spec.name!r} are {ids}, not {dense}")
+    return reliability_array(spec)
+
+
 def implementation_probability(spec: SystemSpec, impl: Implementation) -> float:
-    """P(implementation works) = prod of a_c over its component set."""
+    """P(implementation works) = prod of a_c over its component set.
+
+    Raises ValueError unless the spec's component ids are exactly 0..z-1.
+    """
     _require_member(spec, impl)
-    return mask_product(impl.mask, reliability_array(spec))
+    return mask_product(impl.mask, _checked_reliabilities(spec))
 
 
 def intersection_probability(spec: SystemSpec, impls: Sequence[Implementation]) -> float:
@@ -275,7 +286,8 @@ def intersection_probability(spec: SystemSpec, impls: Sequence[Implementation]) 
 
     Shared components are counted once: the probability is the product of
     a_c over the union of the component sets, which is what makes the
-    event algebra of these systems collapse so aggressively.
+    event algebra of these systems collapse so aggressively.  Raises
+    ValueError unless the spec's component ids are exactly 0..z-1.
     """
     if not impls:
         raise ValueError("intersection over an empty implementation list")
@@ -283,7 +295,7 @@ def intersection_probability(spec: SystemSpec, impls: Sequence[Implementation]) 
     for impl in impls:
         _require_member(spec, impl)
         union |= impl.mask
-    return mask_product(union, reliability_array(spec))
+    return mask_product(union, _checked_reliabilities(spec))
 
 
 def door_functions(net: DoorNetwork) -> tuple[tuple[Implementation, ...], ...]:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from relcover import (
     Method,
     SystemSpec,
     aggregate_terms,
+    enumerate_covering_selections,
     exact_union_probability,
     generate_random_system,
     reliability_classical,
@@ -391,11 +393,13 @@ def test_monte_carlo_chunking_is_seamless(t1):
 
 def test_t1_simplified_stream_exact(t1):
     events = [(e.component_mask, e.coefficient) for e in term_stream(t1, "simplified")]
+    # the fold's order: last function fastest, each function's subsets in
+    # ascending binary-counter order
     assert events == [
         (7, 1),
         (14, 1),
-        (24, 1),
         (15, -1),
+        (24, 1),
         (31, -1),
         (30, -1),
         (31, 1),
@@ -418,6 +422,18 @@ def test_aggregates_match_on_random_systems(spec):
     a = aggregate_terms(term_stream(spec, Method.SIMPLIFIED, cap_terms=None))
     b = aggregate_terms(term_stream(spec, Method.CLASSICAL, cap_terms=None))
     assert a == b
+    # the stream's terms against the covering-selection enumerator, which
+    # shares no code with the engine
+    shape = spec.shape
+    expected = Counter()
+    for k in range(shape.n, shape.m + 1):
+        for selection in enumerate_covering_selections(shape, k):
+            union = 0
+            for i, j in selection.chosen:
+                union |= spec.functions[i][j].mask
+            expected[union, (-1) ** (k - shape.n)] += 1
+    stream = term_stream(spec, Method.SIMPLIFIED, cap_terms=None)
+    assert Counter((e.component_mask, e.coefficient) for e in stream) == expected
 
 
 def test_stream_sum_reproduces_reliability(t1):

@@ -144,6 +144,16 @@ def test_foreign_implementation_rejected(t1):
         intersection_probability(t1, [foreign])
 
 
+@pytest.mark.parametrize("ids", [(0, 5), (-1, 0)], ids=["gap", "negative"])
+def test_sparse_component_ids_rejected(ids):
+    impl = Implementation(0, 0, frozenset({ids[1]}))
+    spec = SystemSpec("sparse", tuple(Component(i, 0.5) for i in ids), ((impl,),))
+    with pytest.raises(ValueError, match=rf"component ids .* are \[{ids[0]}, {ids[1]}\]"):
+        implementation_probability(spec, impl)
+    with pytest.raises(ValueError, match="component ids"):
+        intersection_probability(spec, [impl])
+
+
 def test_intersection_probability_t1(t1, abc):
     a, b, c = abc
     # union {0,1,2,3} -> 0.5*0.7*0.2*0.6; all three cover every component
