@@ -1,6 +1,9 @@
 """Command line front end.
 
 Subcommands: eval, count, bench, bounds, gen, paths, search-nonmonotone.
+`count`, `gen` and `bench` name a shape as NxT (N functions of T
+implementations each, so 3x3 is 3,3,3) or as explicit sizes t1,t2,...
+(a bare T is one function); every printed shape uses the explicit form.
 Tabular output is CSV with a fixed header; --pretty renders the same rows
 as aligned text.  Exit codes: 0 success, 1 input or validation error,
 2 a cap or timeout stopped the run.
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import sys
 from pathlib import Path
@@ -22,7 +26,7 @@ from .bounds import (
     exact_union_probability,
     nonmonotonicity_search,
 )
-from .errors import CapExceeded, EvaluationTimeout, GenerationError, InvalidSystemError
+from .errors import CapExceeded, EvaluationTimeout, GenerationError
 from .evaluate import (
     DEFAULT_TERM_CAP,
     Method,
@@ -33,7 +37,6 @@ from .evaluate import (
 from .combinatorics import count_terms_classical, count_terms_simplified
 from .system import (
     FamilyShape,
-    SystemSpec,
     door_functions,
     dumps_system,
     generate_random_system,
@@ -42,46 +45,34 @@ from .system import (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage problems; here malformed input is exit 1.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
-def _parse_sizes(n: int, raw: str) -> tuple[int, ...]:
-    try:
-        sizes = tuple(int(tok) for tok in raw.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"malformed size list {raw!r}") from exc
-    if len(sizes) != n:
-        raise _UsageError(f"expected {n} sizes, got {len(sizes)} in {raw!r}")
-    if any(t < 1 for t in sizes):
-        raise _UsageError("every size must be at least 1")
-    return sizes
+_SHAPE_HELP = "NxT (N functions of T implementations each) or t1,t2,... e.g. 3x3, 2,3"
 
 
-def _parse_shape_token(token: str) -> tuple[str, tuple[int, ...]]:
+def _parse_shape(token: str) -> tuple[int, ...]:
     # "3x3" reads as 3 functions with 3 implementations each;
-    # "2,3,2" reads as explicit per-function sizes.
+    # "2,3,2" reads as explicit per-function sizes, "3" as one function.
     try:
         if "x" in token:
             n, t = token.split("x")
             sizes = (int(t),) * int(n)
         else:
             sizes = tuple(int(tok) for tok in token.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"malformed shape {token!r}") from exc
+    except ValueError:
+        sizes = ()
     if not sizes or any(t < 1 for t in sizes):
-        raise _UsageError(f"malformed shape {token!r}")
-    return token, sizes
+        raise ValueError(f"malformed shape {token!r}")
+    return sizes
 
 
 def _shape_label(sizes: Sequence[int]) -> str:
-    return "x".join(str(t) for t in sizes)
+    # the explicit form, which _parse_shape reads back to the same sizes
+    return ",".join(str(t) for t in sizes)
 
 
 def _emit_table(header: Sequence[str], rows: Sequence[Sequence[str]], pretty: bool) -> None:
@@ -111,12 +102,11 @@ def cmd_eval(args) -> int:
     method = Method(args.method.replace("-", "_"))
     for flag, methods in _EVAL_FLAG_METHODS.items():
         if getattr(args, flag) is not None and method not in methods:
-            raise _UsageError(
+            raise ValueError(
                 f"--{flag.replace('_', '-')} does not apply to --method {args.method}"
             )
     spec = load_system(args.file)
-    cap = DEFAULT_TERM_CAP if args.cap_terms is None else args.cap_terms
-    cap = cap if cap > 0 else None
+    cap = (DEFAULT_TERM_CAP if args.cap_terms is None else args.cap_terms) or None
     if method is Method.SIMPLIFIED:
         report = reliability_simplified(spec, cap_terms=cap)
     elif method is Method.CLASSICAL:
@@ -149,12 +139,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_count(args) -> int:
-    sizes = _parse_sizes(args.functions, args.sizes)
-    shape = FamilyShape(sizes)
+    shape = FamilyShape(_parse_shape(args.shape))
     header = ("functions", "shape", "terms_classical", "terms_simplified")
     row = (
         str(shape.n),
-        _shape_label(sizes),
+        _shape_label(shape.sizes),
         str(count_terms_classical(shape)),
         str(count_terms_simplified(shape)),
     )
@@ -163,7 +152,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    shapes = [_parse_shape_token(token) for token in args.shapes]
+    shapes = [(token, _parse_shape(token)) for token in args.shapes]
     if args.out:
         instance_dir = Path(args.out).with_suffix("").as_posix() + "_instances"
     else:
@@ -225,9 +214,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    sizes = _parse_sizes(args.functions, args.sizes)
     spec = generate_random_system(
-        FamilyShape(sizes),
+        FamilyShape(_parse_shape(args.shape)),
         components=args.components,
         sharing=args.sharing,
         seed=args.seed,
@@ -254,13 +242,7 @@ def cmd_paths(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    derived = SystemSpec(
-        name=spec.name,
-        components=spec.components,
-        functions=functions,
-        network=spec.network,
-        claimed=dict(spec.claimed),
-    )
+    derived = dataclasses.replace(spec, functions=functions)
     if args.out:
         save_system(derived, args.out)
     else:
@@ -328,13 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("count", help="term-count predictors for a shape")
-    p.add_argument("functions", type=int)
-    p.add_argument("sizes", help="comma-separated t_i list, one per function")
+    p.add_argument("shape", help=_SHAPE_HELP)
     add_pretty_flag(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("bench", help="time both exact evaluators per shape")
-    p.add_argument("--shapes", nargs="+", required=True, help="e.g. 2x2 3x3 or 2,3")
+    p.add_argument("--shapes", nargs="+", required=True, help=_SHAPE_HELP)
     p.add_argument("--components", type=int, default=40)
     p.add_argument("--sharing", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
@@ -349,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("gen", help="generate a random system file")
-    p.add_argument("functions", type=int)
-    p.add_argument("sizes")
+    p.add_argument("shape", help=_SHAPE_HELP)
     p.add_argument("--components", type=int, default=12)
     p.add_argument("--sharing", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
@@ -384,11 +364,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag in ("cap_terms", "timeout"):  # zero keeps its meaning
+            if (getattr(args, flag, None) or 0) < 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must not be negative")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GenerationError, InvalidSystemError, ValueError, OSError) as exc:
+    except (GenerationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EvaluationTimeout as exc:

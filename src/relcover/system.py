@@ -277,8 +277,7 @@ def implementation_probability(spec: SystemSpec, impl: Implementation) -> float:
 
     Raises ValueError unless the spec's component ids are exactly 0..z-1.
     """
-    _require_member(spec, impl)
-    return mask_product(impl.mask, _checked_reliabilities(spec))
+    return intersection_probability(spec, [impl])
 
 
 def intersection_probability(spec: SystemSpec, impls: Sequence[Implementation]) -> float:
@@ -446,10 +445,14 @@ def system_to_dict(spec: SystemSpec) -> dict:
 
 def system_from_dict(doc: dict) -> SystemSpec:
     try:
-        components = tuple(
-            Component(integer_field(c["id"], "component id"), float(c["reliability"]))
-            for c in doc["components"]
-        )
+        components = []
+        for c in doc["components"]:
+            # float() would also read a JSON string or bool; only numbers pass
+            if isinstance(reliability := c["reliability"], (str, bool)):
+                raise ValueError(f"reliability must be a number, got {reliability!r}")
+            components.append(
+                Component(integer_field(c["id"], "component id"), float(reliability))
+            )
         functions = tuple(
             tuple(
                 Implementation(
@@ -466,12 +469,17 @@ def system_from_dict(doc: dict) -> SystemSpec:
             for i, function in enumerate(doc["functions"])
         )
         network = DoorNetwork.from_dict(doc["network"]) if "network" in doc else None
-        claimed = {key: float(doc[key]) for key in _CLAIM_KEYS if key in doc}
+        claimed = {}
+        for key in _CLAIM_KEYS:
+            if key in doc:
+                if isinstance(value := doc[key], (str, bool)):
+                    raise ValueError(f"{key} must be a number, got {value!r}")
+                claimed[key] = float(value)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed system document: missing or bad field ({exc})") from exc
     return SystemSpec(
         name=str(doc.get("name", "")),
-        components=components,
+        components=tuple(components),
         functions=functions,
         network=network,
         claimed=claimed,

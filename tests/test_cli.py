@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from relcover import load_system, validate_system
-from relcover.cli import main
+from relcover import FamilyShape, count_terms_simplified, load_system, validate_system
+from relcover.cli import _parse_shape, main
 
 
 def run(capsys, *argv):
@@ -149,6 +149,17 @@ def test_eval_rejects_non_integer_ids(capsys, fixtures_dir, tmp_path, field, val
     assert "must be an integer" in err
 
 
+def test_eval_rejects_string_reliability(capsys, fixtures_dir, tmp_path):
+    doc = json.loads((fixtures_dir / "t1.json").read_text())
+    doc["components"][0]["reliability"] = "0.5"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", path)
+    assert code == 1
+    assert out == ""
+    assert err == "error: reliability must be a number, got '0.5'\n"
+
+
 def test_eval_cap_gives_exit_2(capsys, fixtures_dir):
     code, _, err = run(capsys, "eval", fixtures_dir / "t1.json", "--cap-terms", "3")
     assert code == 2
@@ -205,7 +216,7 @@ def test_eval_rejects_flags_the_method_ignores(capsys, fixtures_dir, argv, messa
 
 def test_eval_classical_timeout_gives_exit_2(capsys, tmp_path):
     target = tmp_path / "big.json"
-    code, _, _ = run(capsys, "gen", "2", "4,4", "--components", "12", "--out", target)
+    code, _, _ = run(capsys, "gen", "4,4", "--components", "12", "--out", target)
     assert code == 0
     code, _, err = run(
         capsys, "eval", target, "--method", "classical", "--timeout", "0.0"
@@ -218,31 +229,38 @@ def test_eval_classical_timeout_gives_exit_2(capsys, tmp_path):
 
 
 def test_count_exact_integers(capsys):
-    code, out, _ = run(capsys, "count", "3", "3,3,3")
+    code, out, _ = run(capsys, "count", "3x3")
     assert code == 0
     (row,) = parse_csv(out)
     assert row["terms_classical"] == "134217727"
     assert row["terms_simplified"] == "343"
-    assert row["shape"] == "3x3x3"
+    assert row["shape"] == "3,3,3"
 
 
 def test_count_huge_shape_is_instant(capsys):
-    code, out, _ = run(capsys, "count", "5", "3,3,3,3,3")
+    code, out, _ = run(capsys, "count", "5x3")
     assert code == 0
     (row,) = parse_csv(out)
     assert row["terms_classical"] == str((1 << 243) - 1)
     assert row["terms_simplified"] == "16807"
 
 
-def test_count_size_list_mismatch(capsys):
-    code, _, err = run(capsys, "count", "2", "3,3,3")
-    assert code == 1
-    assert "expected 2 sizes" in err
+def test_count_label_reads_back(capsys):
+    code, out, _ = run(capsys, "count", "2,3")
+    assert code == 0
+    (first,) = parse_csv(out)
+    code, out, _ = run(capsys, "count", first["shape"])
+    assert code == 0
+    (again,) = parse_csv(out)
+    assert first["shape"] == again["shape"] == "2,3"
+    assert again["terms_simplified"] == "21"
 
 
 def test_count_malformed_sizes(capsys):
-    code, _, err = run(capsys, "count", "1", "x")
+    code, out, err = run(capsys, "count", "x")
     assert code == 1
+    assert out == ""
+    assert err == "error: malformed shape 'x'\n"
 
 
 # --- bounds -----------------------------------------------------------------
@@ -308,7 +326,7 @@ def test_bounds_cap_gives_exit_2(
 
 def test_gen_writes_valid_system(capsys, tmp_path):
     target = tmp_path / "sys.json"
-    code, _, _ = run(capsys, "gen", "2", "2,3", "--seed", "5", "--out", target)
+    code, _, _ = run(capsys, "gen", "2,3", "--seed", "5", "--out", target)
     assert code == 0
     spec = load_system(target)
     assert validate_system(spec).ok
@@ -316,15 +334,15 @@ def test_gen_writes_valid_system(capsys, tmp_path):
 
 
 def test_gen_stdout_deterministic(capsys):
-    code_a, out_a, _ = run(capsys, "gen", "2", "2,2", "--seed", "9")
-    code_b, out_b, _ = run(capsys, "gen", "2", "2,2", "--seed", "9")
+    code_a, out_a, _ = run(capsys, "gen", "2x2", "--seed", "9")
+    code_b, out_b, _ = run(capsys, "gen", "2,2", "--seed", "9")
     assert code_a == code_b == 0
     assert out_a == out_b
     json.loads(out_a)
 
 
 def test_gen_infeasible_exits_1(capsys):
-    code, _, err = run(capsys, "gen", "1", "5", "--components", "1")
+    code, _, err = run(capsys, "gen", "5", "--components", "1")
     assert code == 1
     assert "error" in err
 
@@ -472,7 +490,7 @@ def test_bench_stdout_without_out(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gen", "2", "2,3"],
+        ["gen", "2,3"],
         ["bench", "--shapes", "1x2", "--components", "8"],
         ["search-nonmonotone", "--trials", "1"],
     ],
@@ -491,6 +509,74 @@ def test_bench_malformed_shape(capsys):
     code, _, err = run(capsys, "bench", "--shapes", "axb")
     assert code == 1
     assert "malformed shape" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eval t1.json --cap-terms -5",
+        "eval t1.json --method classical --timeout -1",
+        "bench --shapes 1x2 --components 8 --timeout -1",
+    ],
+    ids=["eval-cap-terms", "eval-timeout", "bench-timeout"],
+)
+def test_negative_cap_or_timeout_exits_1(capsys, fixtures_dir, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    argv = [fixtures_dir / a if a.endswith(".json") else a for a in argv.split()]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "must not be negative" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# --- shapes -----------------------------------------------------------------
+
+
+def test_printed_shapes_read_back(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "gen", "2,3", "--components", "10", "--out", "sys.json")[0] == 0
+    code, out, _ = run(capsys, "eval", "sys.json")
+    (eval_row,) = parse_csv(out)
+    code, out, _ = run(capsys, "count", "2,3")
+    (count_row,) = parse_csv(out)
+    assert _parse_shape(eval_row["shape"]) == _parse_shape(count_row["shape"]) == (2, 3)
+    code, out, _ = run(
+        capsys, "bench", "--shapes", "2,3", "2x3", "3", "--components", "10", "--timeout", "10"
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    assert [r["shape"] for r in rows] == ["2,3", "2x3", "3"]
+    for r in rows:
+        sizes = _parse_shape(r["shape"])
+        assert load_system(r["instance"]).shape.sizes == sizes
+        assert int(r["terms_new"]) == count_terms_simplified(FamilyShape(sizes))
+    # one grammar: count and bench agree on 2,3
+    assert count_row["terms_simplified"] == rows[0]["terms_new"] == "21"
+
+
+# --- README -----------------------------------------------------------------
+
+
+def test_readme_cli_examples_run(capsys, fixtures_dir, tmp_path, monkeypatch):
+    section = (fixtures_dir.parent / "README.md").read_text().split("\n## CLI\n")[1]
+    blocks = section.split("```")
+    commands = [line.split()[1:] for line in blocks[1].splitlines() if line.startswith("relcover ")]
+    assert commands
+    (tmp_path / "fixtures").symlink_to(fixtures_dir)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if argv[0] == "bench":
+            # its classical run is bounded only by --timeout 60
+            continue
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    # the one example whose output the README shows
+    prompt, *expected = blocks[3].strip("\n").splitlines()
+    assert prompt.startswith("$ relcover ")
+    code, out, _ = run(capsys, *prompt.split()[2:])
+    assert code == 0
+    assert out.splitlines() == expected
 
 
 # --- parser -----------------------------------------------------------------

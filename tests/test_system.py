@@ -315,6 +315,22 @@ def test_from_dict_accepts_integral_floats(t1):
     assert system_from_dict(doc) == system_from_dict(system_to_dict(t1))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("reliability", "0.5"), ("reliability", True), ("claimed_reliability", "0.2668")],
+    ids=["string-reliability", "true-reliability", "string-claim"],
+)
+def test_from_dict_requires_json_numbers(t1, field, value):
+    # float() reads "0.5" and True; the loader must not
+    doc = system_to_dict(t1)
+    if field == "reliability":
+        doc["components"][0][field] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
+        system_from_dict(doc)
+
+
 # --- loader fuzzing ---------------------------------------------------------
 
 _KEYS = (
