@@ -20,8 +20,6 @@ from .bounds import (
     pairwise_sums,
 )
 from .combinatorics import (
-    CoveringSelection,
-    DisjointFamily,
     alternating_coefficient_sum,
     coefficient_count,
     coefficient_count_bruteforce,
@@ -69,8 +67,6 @@ __all__ = [
     "CapExceeded",
     "Component",
     "ComponentId",
-    "CoveringSelection",
-    "DisjointFamily",
     "DoorNetwork",
     "EvaluationReport",
     "EvaluationTimeout",

@@ -23,7 +23,6 @@ from .system import FamilyShape, SystemSpec, generate_random_system, save_system
 CSV_HEADER = (
     "shape",
     "components",
-    "connections",
     "terms_new",
     "terms_old",
     "t_new_seconds",
@@ -38,7 +37,6 @@ CSV_HEADER = (
 class BenchRow:
     shape: str
     components: int
-    connections: int
     terms_new: int
     terms_old: int
     t_new_seconds: float
@@ -64,11 +62,9 @@ def bench_system(
     except EvaluationTimeout:
         t_old = None
         rel_old = None
-    connections = len(spec.network.edges) if spec.network is not None else 0
     return BenchRow(
         shape=label,
         components=spec.component_count,
-        connections=connections,
         terms_new=count_terms_simplified(shape),
         terms_old=count_terms_classical(shape),
         t_new_seconds=new.wall_time,
@@ -114,7 +110,6 @@ def rows_to_csv(rows: Sequence[BenchRow]) -> str:
             [
                 r.shape,
                 r.components,
-                r.connections,
                 r.terms_new,
                 r.terms_old,
                 f"{r.t_new_seconds:.6f}",

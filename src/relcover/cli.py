@@ -138,13 +138,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# `count` prints 2^|W| - 1 in full only up to this |W|; past it the integer
+# alone would run to thousands of digits, and to gigabytes before that.
+_EXACT_CLASSICAL_MAX_W = 4096
+
+
 def cmd_count(args) -> int:
     shape = FamilyShape(_parse_shape(args.shape))
+    w = shape.product_size
     header = ("functions", "shape", "terms_classical", "terms_simplified")
     row = (
         str(shape.n),
         _shape_label(shape.sizes),
-        str(count_terms_classical(shape)),
+        str(count_terms_classical(shape)) if w <= _EXACT_CLASSICAL_MAX_W else f"2^{w}-1",
         str(count_terms_simplified(shape)),
     )
     _emit_table(header, [row], args.pretty)

@@ -7,20 +7,21 @@ sets of k distinct implementations, n <= k <= m, that hit every function at
 least once.  Their total count is prod (2^{t_i} - 1), exponentially smaller.
 
 All counters use exact integers; the interesting values overflow any fixed
-width long before the evaluators give up.  `coefficient_count` computes how
-many t-subsets of the product space of a disjoint set family cover the whole
-family, via an alternating binomial sum, and
+width long before the evaluators give up.  `coefficient_count` computes the
+coverage coefficient c(A, t): how many t-subsets of D = A_1 x ... x A_n
+cover the disjoint family A, via an alternating binomial sum, and
 `coefficient_count_bruteforce` recounts the same quantity by exhaustive
-dynamic programming over the family's product elements so the formula can be
-checked against an independent route.
+dynamic programming over D so the formula can be checked against an
+independent route.  In the reliability setting A_i is function i's set of
+implementations, so the family is a `FamilyShape`: |A_i| = t_i, |A| = m,
+D = W, and an element of A is a (function_index, impl_index) pair.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from math import comb
-from typing import Hashable, Iterable, Iterator, Sequence
+from math import comb, prod
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
 from .system import FamilyShape
@@ -28,82 +29,7 @@ from .system import FamilyShape
 # coefficient_count_bruteforce refuses product spaces larger than this.
 DEFAULT_BRUTEFORCE_CAP = 22
 
-
-@dataclass(frozen=True)
-class CoveringSelection:
-    """A set of distinct implementations covering every function.
-
-    `chosen` holds (function_index, impl_index) pairs, sorted, no repeats.
-    """
-
-    chosen: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.chosen:
-            raise ValueError("empty covering selection")
-        if list(self.chosen) != sorted(set(self.chosen)):
-            raise ValueError("selection pairs must be sorted and distinct")
-
-    @property
-    def k(self) -> int:
-        return len(self.chosen)
-
-    def functions_covered(self) -> frozenset[int]:
-        return frozenset(fi for fi, _ in self.chosen)
-
-
-@dataclass(frozen=True)
-class DisjointFamily:
-    """Pairwise disjoint non-empty blocks A_1, ..., A_n of hashable elements."""
-
-    blocks: tuple[frozenset[Hashable], ...]
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("family needs at least one block")
-        seen: set[Hashable] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("blocks must be non-empty")
-            if seen & block:
-                raise ValueError("blocks must be pairwise disjoint")
-            seen |= block
-
-    @classmethod
-    def of_sizes(cls, sizes: Sequence[int]) -> "DisjointFamily":
-        """Integer-labelled family with the given block sizes."""
-        blocks = []
-        start = 0
-        for s in sizes:
-            blocks.append(frozenset(range(start, start + s)))
-            start += s
-        return cls(tuple(blocks))
-
-    @property
-    def universe(self) -> frozenset[Hashable]:
-        out: set[Hashable] = set()
-        for block in self.blocks:
-            out |= block
-        return frozenset(out)
-
-    @property
-    def k(self) -> int:
-        """|A| = sum of block sizes."""
-        return sum(len(b) for b in self.blocks)
-
-    def elements(self) -> tuple[Hashable, ...]:
-        """Universe in canonical order: block by block, sorted within."""
-        out: list[Hashable] = []
-        for block in self.blocks:
-            out.extend(sorted(block))
-        return tuple(out)
-
-    def product_size(self) -> int:
-        """|D| = prod |A_i|, the number of one-per-block choices."""
-        out = 1
-        for block in self.blocks:
-            out *= len(block)
-        return out
+Pair = tuple[int, int]
 
 
 def _function_subsets(sizes: Sequence[int]) -> list[list[tuple[int, tuple[int, ...]]]]:
@@ -121,8 +47,10 @@ def _function_subsets(sizes: Sequence[int]) -> list[list[tuple[int, tuple[int, .
 
 def enumerate_covering_selections(
     shape: FamilyShape, k: int
-) -> Iterator[CoveringSelection]:
+) -> Iterator[tuple[Pair, ...]]:
     """All covering selections of cardinality k, canonical order, no repeats.
+
+    Each selection is a sorted tuple of (function_index, impl_index) pairs.
 
     A covering selection takes a non-empty subset of each function's
     implementations, so each k-element cover comes once from an odometer
@@ -138,13 +66,13 @@ def enumerate_covering_selections(
     # Most indices that functions i.. can still add; the fewest is n - i.
     most = list(itertools.accumulate(reversed(shape.sizes), initial=0))[::-1]
 
-    def walk(i: int, room: int, prefix: tuple) -> Iterator[CoveringSelection]:
+    def walk(i: int, room: int, prefix: tuple) -> Iterator[tuple[Pair, ...]]:
         for size, chosen in subsets[i]:
             rest = room - size
             if n - i - 1 <= rest <= most[i + 1]:
                 pairs = prefix + tuple((i, j) for j in chosen)
                 if i + 1 == n:
-                    yield CoveringSelection(pairs)
+                    yield pairs
                 else:
                     yield from walk(i + 1, rest, pairs)
 
@@ -180,39 +108,43 @@ def count_terms_simplified(shape: FamilyShape) -> int:
     return out
 
 
-def subset_product_size(family: DisjointFamily, subset: frozenset) -> int:
-    """p(I, A) = prod |A_i  intersect  I| for I a subset of the universe."""
-    if not subset <= family.universe:
+def _universe(shape: FamilyShape) -> tuple[Pair, ...]:
+    # A in canonical order: function by function, by index within a function.
+    return tuple((i, j) for i, t in enumerate(shape.sizes) for j in range(t))
+
+
+def subset_product_size(shape: FamilyShape, subset: Iterable[Pair]) -> int:
+    """p(I, A) = prod |A_i  intersect  I| for I a set of (function, impl) pairs."""
+    pairs = set(subset)
+    if not pairs <= set(_universe(shape)):
         raise ValueError("subset contains elements outside the family")
-    out = 1
-    for block in family.blocks:
-        out *= len(block & subset)
-    return out
+    hits = [0] * shape.n
+    for i, _ in pairs:
+        hits[i] += 1
+    return prod(hits)
 
 
-def coefficient_count(family: DisjointFamily, t: int) -> int:
+def coefficient_count(shape: FamilyShape, t: int) -> int:
     """Number of t-subsets of D = A_1 x ... x A_n whose coordinates cover A.
 
     Evaluated by the alternating sum
-        c(A, t) = sum_{i=0}^{k-n} (-1)^i sum_{|I| = k-i} C(p(I, A), t)
-    over subsets I of the universe, with p(I, A) = prod |A_i intersect I|.
+        c(A, t) = sum_{i=0}^{m-n} (-1)^i sum_{|I| = m-i} C(p(I, A), t)
+    over subsets I of A, with p(I, A) = prod |A_i intersect I|.
     Exact integers throughout; t beyond |D| gives 0.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    k = family.k
-    n = len(family.blocks)
-    elements = family.elements()
+    elements = _universe(shape)
     total = 0
-    for i in range(k - n + 1):
+    for i in range(shape.m - shape.n + 1):
         sign = -1 if i % 2 else 1
-        for chosen in itertools.combinations(elements, k - i):
-            total += sign * comb(subset_product_size(family, frozenset(chosen)), t)
+        for chosen in itertools.combinations(elements, shape.m - i):
+            total += sign * comb(subset_product_size(shape, chosen), t)
     return total
 
 
 def coefficient_count_bruteforce(
-    family: DisjointFamily, t: int, cap: int = DEFAULT_BRUTEFORCE_CAP
+    shape: FamilyShape, t: int, cap: int = DEFAULT_BRUTEFORCE_CAP
 ) -> int:
     """Independent recount of coefficient_count, no alternating sum involved.
 
@@ -224,20 +156,19 @@ def coefficient_count_bruteforce(
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    d_size = family.product_size()
+    d_size = shape.product_size
     if d_size > cap:
         raise CapExceeded(f"product space has {d_size} elements, cap is {cap}")
 
-    elements = family.elements()
-    bit = {e: 1 << idx for idx, e in enumerate(elements)}
+    bit = {e: 1 << idx for idx, e in enumerate(_universe(shape))}
     point_masks = []
-    for point in itertools.product(*(sorted(b) for b in family.blocks)):
+    for point in itertools.product(*(range(t_i) for t_i in shape.sizes)):
         m = 0
-        for e in point:
-            m |= bit[e]
+        for i, j in enumerate(point):
+            m |= bit[i, j]
         point_masks.append(m)
 
-    full = (1 << family.k) - 1
+    full = (1 << shape.m) - 1
     table: dict[int, dict[int, int]] = {0: {0: 1}}
     for pm in point_masks:
         # Deltas are computed against the pre-point table only; merging while
@@ -253,10 +184,10 @@ def coefficient_count_bruteforce(
     return table.get(full, {}).get(t, 0)
 
 
-def alternating_coefficient_sum(family: DisjointFamily) -> int:
-    """sum_t (-1)^{t-1} c(A, t) over t = 1..|D|; always equals (-1)^{k-n}."""
+def alternating_coefficient_sum(shape: FamilyShape) -> int:
+    """sum_t (-1)^{t-1} c(A, t) over t = 1..|D|; always equals (-1)^{m-n}."""
     total = 0
-    for t in range(1, family.product_size() + 1):
-        term = coefficient_count(family, t)
+    for t in range(1, shape.product_size + 1):
+        term = coefficient_count(shape, t)
         total += term if t % 2 else -term
     return total

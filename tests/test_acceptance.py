@@ -12,7 +12,6 @@ from contextlib import contextmanager
 import pytest
 
 from relcover import (
-    DisjointFamily,
     EvaluationTimeout,
     FamilyShape,
     Method,
@@ -135,10 +134,10 @@ def test_c3_coefficient_formula_vs_recount():
     with criterion("C3 coverage coefficients vs exhaustive recount", 60.0):
         for n in (1, 2, 3):
             for sizes in itertools.product((1, 2, 3), repeat=n):
-                fam = DisjointFamily.of_sizes(sizes)
-                for t in range(1, fam.product_size() + 1):
-                    formula = coefficient_count(fam, t)
-                    recount = coefficient_count_bruteforce(fam, t, cap=27)
+                shape = FamilyShape(sizes)
+                for t in range(1, shape.product_size + 1):
+                    formula = coefficient_count(shape, t)
+                    recount = coefficient_count_bruteforce(shape, t, cap=27)
                     assert formula == recount, (sizes, t, formula, recount)
 
 
@@ -154,9 +153,8 @@ def test_c4_alternating_sum_collapse():
     with criterion("C4 alternating coefficient sum collapse", 60.0):
         for k in range(1, 8):
             for sizes in compositions(k):
-                fam = DisjointFamily.of_sizes(sizes)
                 expected = 1 if (k - len(sizes)) % 2 == 0 else -1
-                assert alternating_coefficient_sum(fam) == expected, sizes
+                assert alternating_coefficient_sum(FamilyShape(sizes)) == expected, sizes
 
 
 def test_c5_evaluator_agreement():

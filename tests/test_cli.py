@@ -245,6 +245,19 @@ def test_count_huge_shape_is_instant(capsys):
     assert row["terms_simplified"] == "16807"
 
 
+@pytest.mark.parametrize(
+    "shape, classical",
+    [("10x3", "2^59049-1"), ("30x3", "2^205891132094649-1")],
+    ids=["10x3", "30x3"],
+)
+def test_count_prints_huge_classical_as_power(capsys, shape, classical):
+    code, out, err = run(capsys, "count", shape)
+    assert (code, err) == (0, "")
+    (row,) = parse_csv(out)
+    assert row["terms_classical"] == classical
+    assert row["terms_simplified"] == str(7 ** int(shape.split("x")[0]))
+
+
 def test_count_label_reads_back(capsys):
     code, out, _ = run(capsys, "count", "2,3")
     assert code == 0

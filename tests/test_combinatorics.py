@@ -1,12 +1,8 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from relcover import (
     CapExceeded,
-    CoveringSelection,
-    DisjointFamily,
     FamilyShape,
     alternating_coefficient_sum,
     coefficient_count,
@@ -23,55 +19,13 @@ small_shapes = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
 )
 
 
-# --- selections and families ----------------------------------------------
-
-
-def test_selection_rejects_empty_and_unsorted():
-    with pytest.raises(ValueError):
-        CoveringSelection(())
-    with pytest.raises(ValueError):
-        CoveringSelection(((1, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        CoveringSelection(((0, 0), (0, 0)))
-
-
-def test_selection_accessors():
-    sel = CoveringSelection(((0, 0), (0, 2), (1, 1)))
-    assert sel.k == 3
-    assert sel.functions_covered() == frozenset({0, 1})
-
-
-def test_family_rejects_bad_blocks():
-    with pytest.raises(ValueError):
-        DisjointFamily(())
-    with pytest.raises(ValueError):
-        DisjointFamily((frozenset(),))
-    with pytest.raises(ValueError):
-        DisjointFamily((frozenset({1, 2}), frozenset({2, 3})))
-
-
-def test_family_of_sizes():
-    fam = DisjointFamily.of_sizes((2, 3))
-    assert fam.blocks == (frozenset({0, 1}), frozenset({2, 3, 4}))
-    assert fam.k == 5
-    assert fam.universe == frozenset(range(5))
-    assert fam.elements() == (0, 1, 2, 3, 4)
-    assert fam.product_size() == 6
-
-
-def test_family_accepts_any_hashable_labels():
-    fam = DisjointFamily((frozenset({"a", "b"}), frozenset({"c"})))
-    assert fam.product_size() == 2
-    assert coefficient_count(fam, 2) == 1
-
-
 # --- covering selections ----------------------------------------------------
 
 
 def test_covering_selections_2x2_by_hand():
     shape = FamilyShape((2, 2))
     got = {
-        k: [sel.chosen for sel in enumerate_covering_selections(shape, k)]
+        k: list(enumerate_covering_selections(shape, k))
         for k in range(2, 5)
     }
     assert got[2] == [
@@ -100,8 +54,8 @@ def test_covering_k_range_enforced():
 
 def test_enumeration_is_repeatable():
     shape = FamilyShape((3, 2))
-    first = [s.chosen for s in enumerate_covering_selections(shape, 3)]
-    second = [s.chosen for s in enumerate_covering_selections(shape, 3)]
+    first = list(enumerate_covering_selections(shape, 3))
+    second = list(enumerate_covering_selections(shape, 3))
     assert first == second
 
 
@@ -112,10 +66,11 @@ def test_selections_cover_and_count(shape):
         sels = list(enumerate_covering_selections(shape, k))
         assert len(sels) == count_covering_selections(shape, k)
         for sel in sels:
-            assert sel.k == k
-            assert sel.functions_covered() == frozenset(range(shape.n))
-            assert sel.chosen not in seen
-            seen.add(sel.chosen)
+            assert list(sel) == sorted(set(sel))
+            assert len(sel) == k
+            assert {i for i, _ in sel} == set(range(shape.n))
+            assert sel not in seen
+            seen.add(sel)
     assert len(seen) == count_terms_simplified(shape)
 
 
@@ -163,53 +118,55 @@ def test_simplified_never_exceeds_classical(shape):
 
 
 def test_subset_product_size():
-    fam = DisjointFamily.of_sizes((2, 2))
-    assert subset_product_size(fam, frozenset({0, 2, 3})) == 2
-    assert subset_product_size(fam, frozenset({0, 1})) == 0
-    assert subset_product_size(fam, fam.universe) == 4
-    with pytest.raises(ValueError):
-        subset_product_size(fam, frozenset({9}))
+    shape = FamilyShape((2, 2))
+    assert subset_product_size(shape, {(0, 0), (1, 0), (1, 1)}) == 2
+    assert subset_product_size(shape, [(0, 0), (0, 1)]) == 0
+    assert subset_product_size(shape, {(0, 0), (0, 1), (1, 0), (1, 1)}) == 4
+    for outside in ((2, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            subset_product_size(shape, {(0, 0), outside})
 
 
 def test_coefficient_count_by_hand():
-    # blocks {0,1} and {2}: D = {(0,2), (1,2)}; only the full pair covers
-    fam = DisjointFamily.of_sizes((2, 1))
-    assert coefficient_count(fam, 1) == 0
-    assert coefficient_count(fam, 2) == 1
-    assert coefficient_count(fam, 3) == 0
+    # A_1 = {(0,0), (0,1)} and A_2 = {(1,0)}: D has two points; only the
+    # full pair covers
+    shape = FamilyShape((2, 1))
+    assert coefficient_count(shape, 1) == 0
+    assert coefficient_count(shape, 2) == 1
+    assert coefficient_count(shape, 3) == 0
 
 
 def test_coefficient_count_single_block():
     # one block of 3: D is the block itself, and a subset uses every element
     # of the family only when it is all of D
-    fam = DisjointFamily.of_sizes((3,))
-    assert [coefficient_count(fam, t) for t in (1, 2, 3)] == [0, 0, 1]
+    shape = FamilyShape((3,))
+    assert [coefficient_count(shape, t) for t in (1, 2, 3)] == [0, 0, 1]
 
 
 def test_coefficient_count_rejects_bad_t():
-    fam = DisjointFamily.of_sizes((2, 1))
+    shape = FamilyShape((2, 1))
     with pytest.raises(ValueError):
-        coefficient_count(fam, 0)
+        coefficient_count(shape, 0)
     with pytest.raises(ValueError):
-        coefficient_count_bruteforce(fam, 0)
+        coefficient_count_bruteforce(shape, 0)
 
 
 def test_coefficient_totals_are_subset_counts():
     # summing c(A, t) over all t counts the covering subsets of D, and the
     # remaining subsets of D are exactly the non-covering ones
-    fam = DisjointFamily.of_sizes((2, 2))
-    d = fam.product_size()
-    covering = sum(coefficient_count(fam, t) for t in range(1, d + 1))
+    shape = FamilyShape((2, 2))
+    d = shape.product_size
+    covering = sum(coefficient_count(shape, t) for t in range(1, d + 1))
     assert covering == sum(
-        coefficient_count_bruteforce(fam, t) for t in range(1, d + 1)
+        coefficient_count_bruteforce(shape, t) for t in range(1, d + 1)
     )
     assert 0 < covering < 2**d - 1
 
 
 def test_bruteforce_cap():
     with pytest.raises(CapExceeded):
-        coefficient_count_bruteforce(DisjointFamily.of_sizes((5, 5)), 2)
-    assert coefficient_count_bruteforce(DisjointFamily.of_sizes((5, 5)), 25, cap=25) == 1
+        coefficient_count_bruteforce(FamilyShape((5, 5)), 2)
+    assert coefficient_count_bruteforce(FamilyShape((5, 5)), 25, cap=25) == 1
 
 
 @given(
@@ -217,19 +174,19 @@ def test_bruteforce_cap():
     data=st.data(),
 )
 def test_formula_matches_exhaustive_recount(sizes, data):
-    fam = DisjointFamily.of_sizes(tuple(sizes))
-    t = data.draw(st.integers(1, fam.product_size()))
-    assert coefficient_count(fam, t) == coefficient_count_bruteforce(fam, t)
+    shape = FamilyShape(tuple(sizes))
+    t = data.draw(st.integers(1, shape.product_size))
+    assert coefficient_count(shape, t) == coefficient_count_bruteforce(shape, t)
 
 
 def test_formula_matches_exhaustive_recount_3d():
-    fam = DisjointFamily.of_sizes((2, 2, 2))
+    shape = FamilyShape((2, 2, 2))
     for t in range(1, 9):
-        assert coefficient_count(fam, t) == coefficient_count_bruteforce(fam, t)
+        assert coefficient_count(shape, t) == coefficient_count_bruteforce(shape, t)
 
 
 @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=2))
 def test_alternating_sum_collapses(sizes):
-    fam = DisjointFamily.of_sizes(tuple(sizes))
-    expected = 1 if (fam.k - len(fam.blocks)) % 2 == 0 else -1
-    assert alternating_coefficient_sum(fam) == expected
+    shape = FamilyShape(tuple(sizes))
+    expected = 1 if (shape.m - shape.n) % 2 == 0 else -1
+    assert alternating_coefficient_sum(shape) == expected

@@ -429,7 +429,7 @@ def test_aggregates_match_on_random_systems(spec):
     for k in range(shape.n, shape.m + 1):
         for selection in enumerate_covering_selections(shape, k):
             union = 0
-            for i, j in selection.chosen:
+            for i, j in selection:
                 union |= spec.functions[i][j].mask
             expected[union, (-1) ** (k - shape.n)] += 1
     stream = term_stream(spec, Method.SIMPLIFIED, cap_terms=None)
