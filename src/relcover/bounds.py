@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidSystemError
-from .evaluate import _check_term_cap, _fold, _signed_sum, reliability_simplified
+from .evaluate import _check_term_cap, _group_sum, reliability_simplified
 from .system import (
     FamilyShape,
     SystemSpec,
@@ -131,7 +131,7 @@ def exact_union_probability(spec: SystemSpec) -> float:
     """
     masks, reliabilities = _single_function_masks(spec)
     _check_term_cap((1 << len(masks)) - 1)
-    return _signed_sum(_fold([masks]), reliabilities)
+    return _group_sum([masks], reliabilities)[0]
 
 
 def nonmonotonicity_search(

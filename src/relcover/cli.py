@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import io
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -138,9 +139,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# `count` prints 2^|W| - 1 in full only up to this |W|; past it the integer
-# alone would run to thousands of digits, and to gigabytes before that.
-_EXACT_CLASSICAL_MAX_W = 4096
+# `count` prints a term count in full only while it has at most this many
+# bits: 2^|W| - 1 has |W|, prod (2^{t_i} - 1) fewer than sum t_i.  Past it
+# the integer alone would run to thousands of digits, and to gigabytes
+# before that, so the count is printed as a power or a product of powers.
+_EXACT_COUNT_MAX_BITS = 4096
+
+
+def _simplified_power_form(sizes: Sequence[int]) -> str:
+    # prod (2^{t_i} - 1) with equal factors gathered, e.g. (2^1000-1)^20
+    return "*".join(
+        f"(2^{t}-1)^{k}" if k > 1 else f"(2^{t}-1)"
+        for t, k in sorted(Counter(sizes).items())
+    )
 
 
 def cmd_count(args) -> int:
@@ -150,8 +161,10 @@ def cmd_count(args) -> int:
     row = (
         str(shape.n),
         _shape_label(shape.sizes),
-        str(count_terms_classical(shape)) if w <= _EXACT_CLASSICAL_MAX_W else f"2^{w}-1",
-        str(count_terms_simplified(shape)),
+        str(count_terms_classical(shape)) if w <= _EXACT_COUNT_MAX_BITS else f"2^{w}-1",
+        str(count_terms_simplified(shape))
+        if shape.m <= _EXACT_COUNT_MAX_BITS
+        else _simplified_power_form(shape.sizes),
     )
     _emit_table(header, [row], args.pretty)
     return 0

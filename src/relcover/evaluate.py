@@ -15,31 +15,37 @@ covering-selection sign (-1)^(k - n) is the product of the per-function
 signs (-1)^(|S_i| - 1), so every signed term comes from `_signed_unions`:
 the simplified route folds one signed union map per function by
 OR-convolution, `term_stream` yields its picks one by one, and the
-classical route takes the subsets of W.  Every map is built by
-`_accumulate`, which stops past MAX_LIVE_MASKS masks or a deadline, except
-the fold's merge, a tight loop that checks the same cap.
+classical route takes the subsets of W.  A function's own map is built
+straight from the prefix table while it has fewer subsets than
+`_accumulate` takes between checks, and by `_accumulate` past that; every
+other map is built by `_accumulate`, which stops past MAX_LIVE_MASKS masks
+or a deadline, except the fold's merges, tight loops that check the same
+cap.
 
 Functions whose supports (the components of all their implementations)
 are linked, directly or through other functions, form one group; groups
 share no component, so they are independent modules in the sense of
 Birnbaum & Esary (1965) and R is the product of the groups' reliabilities.
 The simplified route folds each group on its own, so a 4^5 system with no
-sharing folds five maps of 15 masks instead of one of 759,375.  The
-classical route still builds its one map and projects it onto each group's
-support; each per-function map sums to 1, so a projection is exactly that
-group's folded map.  A group's map is summed as coefficient times the
-product of component reliabilities with `math.fsum`, which is correctly
-rounded and therefore order-independent, and the group sums are multiplied
-in ascending support order: equal maps give bit-identical results, run to
-run and route to route.
+sharing folds five maps of 15 masks instead of one of 759,375.  A last
+merge that could pass _CHECK_EVERY entries is never held whole:
+`_group_sum` splits the rest of the fold into parts whose merges share no
+key, and sums each part's merge as it is made.
+The classical route still builds its one map and projects it onto each
+group's support; each per-function map sums to 1, so a projection is
+exactly that group's folded map.  A group's terms, coefficient times the
+product of component reliabilities, go to one `math.fsum`, which is
+correctly rounded and therefore independent of order and of how the map is
+split, and the group sums are multiplied in ascending support order: equal
+maps give bit-identical results, run to run and route to route.
 
 Each product comes in `system.mask_product`'s one order: component ids in
 chunks of CHUNK_BITS, each chunk multiplied from 1.0 in ascending id order,
-the chunk products in ascending chunk order.  The sum of a map with more
+the chunk products in ascending chunk order.  A sum that can reach more
 entries than a chunk has values (a connected 4^5 system folds to about
 half a million, with at most about a thousand distinct values in any one
 chunk) computes each chunk value's product once and each mask's product
-as one lookup per chunk, in that same order; smaller maps walk each mask.
+as one lookup per chunk, in that same order; smaller sums walk each mask.
 Both give the same floats, so the choice never changes a result.
 """
 
@@ -67,11 +73,17 @@ from .system import (
 # Exact evaluators refuse term counts beyond this unless overridden.
 DEFAULT_TERM_CAP = (1 << 24) - 1
 
-# Exact evaluators stop once a coefficient map holds more masks than this.
-# The term cap bounds the terms, not the distinct unions they fold into: a
-# 4^6 system on 48 components with sharing 0.3 passes it with 11,390,625
-# terms, yet its fold grows to about 6.5 million masks.
+# Exact evaluators stop once a group of functions has more distinct
+# covering-selection unions than this, counted as its last merge is summed,
+# or once any map they hold (a function's own map, a partial fold, the
+# classical map) has more masks.  The term cap bounds the terms, not the
+# distinct unions they fold into: a 4^6 system on 48 components with
+# sharing 0.3 passes it with 11,390,625 terms, yet folds into about 6.5
+# million unions.
 MAX_LIVE_MASKS = 1 << 22
+
+# `_accumulate` checks its caps once per this many terms.
+_CHECK_EVERY = 1 << 13
 
 # Subset unions over this many low counter bits come from one prefix table.
 _TABLE_BITS = 16
@@ -117,8 +129,8 @@ def _check_term_cap(term_count: int, cap_terms: int | None = DEFAULT_TERM_CAP) -
         raise CapExceeded(f"{term_count} terms exceeds the cap {cap_terms}")
 
 
-def _check_live_masks(coefficients: dict[int, int]) -> None:
-    if len(coefficients) > MAX_LIVE_MASKS:
+def _check_live_masks(distinct: int) -> None:
+    if distinct > MAX_LIVE_MASKS:
         raise CapExceeded(f"coefficient map passed {MAX_LIVE_MASKS} distinct masks")
 
 
@@ -127,18 +139,43 @@ def _accumulate(
 ) -> dict[int, int]:
     """{mask: summed coefficient} over (mask, coefficient) pairs, zeros kept.
 
-    Every 8192 terms, and at the end, a map past MAX_LIVE_MASKS raises
-    CapExceeded; every 8192 terms a perf_counter past `deadline` raises
-    EvaluationTimeout.
+    Every _CHECK_EVERY terms, and at the end, a map past MAX_LIVE_MASKS
+    raises CapExceeded; every _CHECK_EVERY terms a perf_counter past
+    `deadline` raises EvaluationTimeout.
     """
     out: dict[int, int] = {}
+    every = _CHECK_EVERY - 1
     for s, (mask, c) in enumerate(terms, 1):
-        if not s & 8191:
-            _check_live_masks(out)
+        if not s & every:
+            _check_live_masks(len(out))
             if time.perf_counter() > deadline:
                 raise EvaluationTimeout(f"deadline passed after {s - 1} terms")
         out[mask] = out.get(mask, 0) + c
-    _check_live_masks(out)
+    _check_live_masks(len(out))
+    return out
+
+
+def _prefix_table(masks: Sequence[int]) -> list[tuple[int, int]]:
+    """(union of S, (-1)^(|S| - 1)) for every subset S of masks, the empty one first."""
+    table = [(0, -1)]
+    for m in masks:
+        table += [(union | m, -sign) for union, sign in table]
+    return table
+
+
+def _own_map(masks: Sequence[int]) -> dict[int, int]:
+    """{union: summed sign} over the non-empty subsets of one function's masks.
+
+    A function with fewer subsets than `_accumulate` takes between checks is
+    built straight from the prefix table, where no periodic check could
+    fire; both ways check the finished map against MAX_LIVE_MASKS.
+    """
+    if 1 << len(masks) > _CHECK_EVERY:
+        return _accumulate(_signed_unions(masks))
+    out: dict[int, int] = {}
+    for union, sign in _prefix_table(masks)[1:]:
+        out[union] = out.get(union, 0) + sign
+    _check_live_masks(len(out))
     return out
 
 
@@ -150,9 +187,7 @@ def _signed_unions(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
     once; the high bits are OR-ed in once per outer step, so one path serves
     any width.
     """
-    low = [(0, -1)]
-    for m in masks[:_TABLE_BITS]:
-        low += [(union | m, -sign) for union, sign in low]
+    low = _prefix_table(masks[:_TABLE_BITS])
     yield from low[1:]
     high_masks = masks[_TABLE_BITS:]
     for hi in range(1, 1 << len(high_masks)):
@@ -171,37 +206,37 @@ def _fold(functions: list[list[int]]) -> dict[int, int]:
 
     OR-convolution of one signed union map per function.  Zero entries are
     kept, so the keys are exactly the distinct covering-selection unions.
-    Own maps come from `_accumulate`; the merge checks MAX_LIVE_MASKS once
-    per outer entry.
+    Own maps come from `_own_map`; the merge checks MAX_LIVE_MASKS once per
+    outer entry.
     """
-    total = _accumulate(_signed_unions(functions[0]))
+    total = _own_map(functions[0])
     for masks in functions[1:]:
-        own = _accumulate(_signed_unions(masks))
+        own = _own_map(masks)
         merged: dict[int, int] = {}
         for a, ca in total.items():
             for b, cb in own.items():
                 key = a | b
                 merged[key] = merged.get(key, 0) + ca * cb
-            _check_live_masks(merged)
+            _check_live_masks(len(merged))
         total = merged
     return total
 
 
 def _memoised_terms(
-    coefficients: dict[int, int], reliabilities: Sequence[float]
+    entries: Iterable[tuple[int, int]], reliabilities: Sequence[float], width: int
 ) -> Iterator[float]:
-    """c * mask_product(mask) for every nonzero entry, from memoised chunks.
+    """c * mask_product(mask) for every nonzero (mask, c), from memoised chunks.
 
-    Each distinct value of each CHUNK_BITS-wide chunk has its product
-    computed once, by `mask_product`, and a mask's product multiplies its
-    chunks' products in ascending chunk order from 1.0, which is exactly
-    `mask_product`'s order: the terms are bit-identical to the direct walk.
+    Every mask lies below bit `width`.  Each distinct value of each
+    CHUNK_BITS-wide chunk has its product computed once, by `mask_product`,
+    and a mask's product multiplies its chunks' products in ascending chunk
+    order from 1.0, which is exactly `mask_product`'s order: the terms are
+    bit-identical to the direct walk.
     """
-    width = max(coefficients).bit_length()
     tables: list[tuple[int, dict[int, float]]] = [
         (shift, {}) for shift in range(0, width, CHUNK_BITS)
     ]
-    for mask, c in coefficients.items():
+    for mask, c in entries:
         if c:
             p = 1.0
             for shift, table in tables:
@@ -221,7 +256,8 @@ def _signed_sum(coefficients: dict[int, int], reliabilities: list[float]) -> flo
     walks each mask.  Both give the same floats.
     """
     if len(coefficients) > 1 << CHUNK_BITS:
-        terms = _memoised_terms(coefficients, reliabilities)
+        width = max(coefficients).bit_length()
+        terms = _memoised_terms(coefficients.items(), reliabilities, width)
     else:
         terms = (
             c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
@@ -253,12 +289,60 @@ def _groups(functions: list[list[int]]) -> list[tuple[int, list[list[int]]]]:
     return sorted(groups, key=lambda group: group[0])
 
 
-def _product_of_sums(maps: list[dict[int, int]], reliabilities: list[float]) -> float:
-    """R as the product of the groups' signed sums, in the order given."""
-    product = 1.0
-    for coefficients in maps:
-        product *= _signed_sum(coefficients, reliabilities)
-    return product
+def _group_sum(
+    functions: list[list[int]], reliabilities: list[float]
+) -> tuple[float, int]:
+    """(signed sum, distinct unions) of one group, without holding its map.
+
+    A group of one function sums its own map.  Otherwise the functions
+    before the last are folded by `_fold` into a head map.  A key of the
+    last merge is a | b with b inside the last function's support S, so
+    head entries that differ outside S never reach one key: the head is
+    split by a & ~S, and each part is merged with the last function's own
+    map, summed and dropped.  A merge that cannot pass _CHECK_EVERY entries
+    is made in one part, since splitting it saves less than it costs.  All
+    the terms go to one `math.fsum`, so the sum and count are bit-identical
+    to `_signed_sum(_fold(functions))` and `len(_fold(functions))`.  The
+    running count of distinct unions is checked against MAX_LIVE_MASKS once
+    per head entry, so CapExceeded fires exactly when the whole map would
+    have passed it.
+    """
+    if len(functions) == 1:
+        own = _own_map(functions[0])
+        return _signed_sum(own, reliabilities), len(own)
+    head = _fold(functions[:-1])
+    last = _own_map(functions[-1])
+    inside = 0
+    for m in functions[-1]:
+        inside |= m
+    if len(head) * len(last) > _CHECK_EVERY:
+        split: dict[int, list[int]] = {}
+        for a in head:
+            split.setdefault(a & ~inside, []).append(a)
+        parts: Iterable[Iterable[int]] = split.values()
+    else:
+        parts = [head]
+    distinct = 0
+
+    def entries() -> Iterator[tuple[int, int]]:
+        nonlocal distinct
+        for part in parts:
+            merged: dict[int, int] = {}
+            for a in part:
+                ca = head[a]
+                for b, cb in last.items():
+                    key = a | b
+                    merged[key] = merged.get(key, 0) + ca * cb
+                _check_live_masks(distinct + len(merged))
+            distinct += len(merged)
+            yield from merged.items()
+
+    if len(head) * len(last) > 1 << CHUNK_BITS:
+        width = (max(head) | inside).bit_length()
+        terms = _memoised_terms(entries(), reliabilities, width)
+    else:
+        terms = (c * mask_product(mask, reliabilities) for mask, c in entries() if c)
+    return math.fsum(terms), distinct
 
 
 def reliability_simplified(
@@ -271,19 +355,23 @@ def reliability_simplified(
     mask merged as the functions are folded together.  Each group of
     functions sharing no component with the rest is folded on its own and
     the group sums are multiplied; `distinct_product_count` is the product
-    of the group map sizes, which is the number of distinct covering-
-    selection unions because the group supports are disjoint.
+    of the groups' distinct union counts, which is the number of distinct
+    covering-selection unions because the group supports are disjoint.
     """
     start = time.perf_counter()
     masks, reliabilities = _prepare(spec)
     term_count = comb_mod.count_terms_simplified(spec.shape)
     _check_term_cap(term_count, cap_terms)
-    maps = [_fold(functions) for _, functions in _groups(masks)]
+    reliability, distinct = 1.0, 1
+    for _, functions in _groups(masks):
+        group_reliability, group_distinct = _group_sum(functions, reliabilities)
+        reliability *= group_reliability
+        distinct *= group_distinct
     return EvaluationReport(
         method=Method.SIMPLIFIED,
-        reliability=_product_of_sums(maps, reliabilities),
+        reliability=reliability,
         term_count=term_count,
-        distinct_product_count=math.prod(len(coefficients) for coefficients in maps),
+        distinct_product_count=distinct,
         wall_time=time.perf_counter() - start,
     )
 
@@ -321,7 +409,7 @@ def reliability_classical(
 
     return EvaluationReport(
         method=Method.CLASSICAL,
-        reliability=_product_of_sums(maps, reliabilities),
+        reliability=math.prod(_signed_sum(m, reliabilities) for m in maps),
         term_count=term_count,
         distinct_product_count=len(coefficients),
         wall_time=time.perf_counter() - start,

@@ -258,6 +258,23 @@ def test_count_prints_huge_classical_as_power(capsys, shape, classical):
     assert row["terms_simplified"] == str(7 ** int(shape.split("x")[0]))
 
 
+@pytest.mark.parametrize(
+    "shape, simplified",
+    [
+        ("20x1000", "(2^1000-1)^20"),
+        ("3,5000,3", "(2^3-1)^2*(2^5000-1)"),
+        ("4097", "(2^4097-1)"),
+        ("4096", str((1 << 4096) - 1)),
+    ],
+    ids=["20x1000", "mixed", "past-4096", "at-4096"],
+)
+def test_count_prints_huge_simplified_as_product(capsys, shape, simplified):
+    code, out, err = run(capsys, "count", shape)
+    assert (code, err) == (0, "")
+    (row,) = parse_csv(out)
+    assert row["terms_simplified"] == simplified
+
+
 def test_count_label_reads_back(capsys):
     code, out, _ = run(capsys, "count", "2,3")
     assert code == 0

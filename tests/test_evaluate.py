@@ -1,11 +1,14 @@
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from relcover import (
     CapExceeded,
@@ -26,7 +29,7 @@ from relcover import (
     term_stream,
 )
 from relcover import evaluate
-from relcover.evaluate import _memoised_terms, _signed_sum
+from relcover.evaluate import _fold, _group_sum, _groups, _memoised_terms, _signed_sum
 from relcover.system import CHUNK_BITS, mask_product, reliability_array
 
 
@@ -243,7 +246,8 @@ def test_memoised_products_are_bit_identical(drawn):
     direct = [
         c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
     ]
-    memoised = list(_memoised_terms(coefficients, reliabilities))
+    width = max(coefficients).bit_length()
+    memoised = list(_memoised_terms(coefficients.items(), reliabilities, width))
     assert [t.hex() for t in memoised] == [t.hex() for t in direct]
 
 
@@ -258,6 +262,71 @@ def test_large_map_sum_equals_the_direct_sum():
         c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
     )
     assert _signed_sum(coefficients, reliabilities) == expected
+
+
+# Three functions of four one-component implementations on ids 0..33, and a
+# last function of six that links all three: 121,009 distinct unions, over
+# three chunks of ids, so the last merge is split into many parts and its
+# products are memoised.
+ABOVE_A_CHUNK = [[{3 * (4 * i + j)} for j in range(4)] for i in range(3)] + [
+    [{c} for c in range(34, 39)] + [{0, 12, 24, 39}]
+]
+
+
+def to_masks(functions):
+    return [[sum(1 << c for c in impl) for impl in function] for function in functions]
+
+
+@st.composite
+def groups_of_functions(draw):
+    """1-3 head functions on ids 0..19 and a last one on ids 0..39, so
+    overlapping the head, or on ids 20..39, apart from it; 40 reliabilities."""
+    reliabilities = draw(
+        st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            min_size=40,
+            max_size=40,
+        )
+    )
+
+    def function(low, high):
+        ids = st.integers(low, high)
+        return st.lists(st.sets(ids, min_size=1, max_size=3), min_size=1, max_size=4)
+
+    head = draw(st.lists(function(0, 19), min_size=1, max_size=3))
+    last = draw(function(draw(st.sampled_from([0, 20])), 39))
+    return to_masks(head + [last]), reliabilities
+
+
+@given(drawn=groups_of_functions())
+@example(drawn=(to_masks(ABOVE_A_CHUNK), [0.5 + i / 100 for i in range(40)]))
+def test_group_sum_is_the_folded_sum_bit_for_bit(drawn):
+    functions, reliabilities = drawn
+    folded = _fold(functions)
+    expected = (_signed_sum(folded, reliabilities).hex(), len(folded))
+    total, distinct = _group_sum(functions, reliabilities)
+    assert (total.hex(), distinct) == expected
+    # split every last merge into parts, however small
+    with mock.patch.object(evaluate, "_CHECK_EVERY", 1):
+        total, distinct = _group_sum(functions, reliabilities)
+    assert (total.hex(), distinct) == expected
+
+
+def test_simplified_never_holds_the_whole_map():
+    # the bare table of a dict of every union, keys and values not counted
+    spec = generate_random_system(FamilyShape((4, 4, 4, 4)), 24, 0.3, seed=1)
+    assert len(_groups([[impl.mask for impl in f] for f in spec.functions])) == 1
+    distinct = reliability_simplified(spec).distinct_product_count
+    assert distinct == 11_957
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        reliability_simplified(spec)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.getsizeof(dict.fromkeys(range(distinct))), (peak, distinct)
 
 
 def test_reliability_stays_in_unit_interval():
@@ -304,13 +373,17 @@ def test_budget_aborts_long_classical_run():
         ([[{0, 1}, {0, 2}], [{0, 3}, {0, 4}]], 9),
         # one function of 4 disjoint implementations: 15 unions and no merge
         ([[{0}, {1}, {2}, {3}]], 15),
+        (ABOVE_A_CHUNK, 121_009),
     ],
-    ids=["two-functions", "one-function"],
+    ids=["two-functions", "one-function", "above-a-chunk"],
 )
 def test_live_mask_cap_stops_the_fold(monkeypatch, functions, distinct):
-    spec = make_system([0.5] * 5, functions)
-    assert reliability_simplified(spec).distinct_product_count == distinct
-    monkeypatch.setattr(evaluate, "MAX_LIVE_MASKS", 8)
+    # the cap stops exactly the groups whose whole map would pass it
+    z = 1 + max(c for function in functions for impl in function for c in impl)
+    spec = make_system([0.5] * z, functions)
+    expected = reliability_simplified(spec)
+    assert expected.distinct_product_count == distinct
+    monkeypatch.setattr(evaluate, "MAX_LIVE_MASKS", distinct - 1)
     with pytest.raises(CapExceeded):
         reliability_simplified(spec)
     # the covering-selection stream aggregates to the same map
@@ -319,6 +392,12 @@ def test_live_mask_cap_stops_the_fold(monkeypatch, functions, distinct):
     if len(functions) == 1:
         with pytest.raises(CapExceeded):
             exact_union_probability(spec)
+    monkeypatch.setattr(evaluate, "MAX_LIVE_MASKS", distinct)
+    report = reliability_simplified(spec)
+    assert (report.reliability, report.distinct_product_count) == (
+        expected.reliability,
+        distinct,
+    )
 
 
 @pytest.mark.parametrize(
