@@ -29,8 +29,11 @@ Birnbaum & Esary (1965) and R is the product of the groups' reliabilities.
 The simplified route folds each group on its own, so a 4^5 system with no
 sharing folds five maps of 15 masks instead of one of 759,375.  A last
 merge that could pass _CHECK_EVERY entries is never held whole:
-`_group_sum` splits the rest of the fold into parts whose merges share no
-key, and sums each part's merge as it is made.
+`_split_sum` splits the rest of the fold into parts whose merges share no
+key and sums each part as it is made.  A part's row depends only on its
+entries' inner patterns (their bits inside the last function's support)
+and coefficients, and a head has few patterns, so parts alike share one
+row, merged once; nearly every part has one entry and no merge of its own.
 The classical route still builds its one map and projects it onto each
 group's support; each per-function map sums to 1, so a projection is
 exactly that group's folded map.  A group's terms, coefficient times the
@@ -44,17 +47,21 @@ chunks of CHUNK_BITS, each chunk multiplied from 1.0 in ascending id order,
 the chunk products in ascending chunk order.  A sum that can reach more
 entries than a chunk has values (a connected 4^5 system folds to about
 half a million, with at most about a thousand distinct values in any one
-chunk) computes each chunk value's product once and each mask's product
-as one lookup per chunk, in that same order; smaller sums walk each mask.
-Both give the same floats, so the choice never changes a result.
+chunk), and every split last merge, computes each chunk value's product
+once, in a `_ChunkProducts` table, and each mask's product as one lookup
+per chunk, multiplied in that same order by `_multiply`; smaller sums walk
+each mask.  Both give the same floats, so the choice never changes a
+result.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -84,6 +91,10 @@ MAX_LIVE_MASKS = 1 << 22
 
 # `_accumulate` checks its caps once per this many terms.
 _CHECK_EVERY = 1 << 13
+
+# `_split_sum` keeps at most this many merged row entries and memoised
+# chunk products at once.
+_HELD_PRODUCTS = 1 << 13
 
 # Subset unions over this many low counter bits come from one prefix table.
 _TABLE_BITS = 16
@@ -222,42 +233,57 @@ def _fold(functions: list[list[int]]) -> dict[int, int]:
     return total
 
 
-def _memoised_terms(
-    entries: Iterable[tuple[int, int]], reliabilities: Sequence[float], width: int
-) -> Iterator[float]:
-    """c * mask_product(mask) for every nonzero (mask, c), from memoised chunks.
+class _ChunkProducts(dict):
+    """{field: mask_product(field)} for masks inside one chunk of ids, filled lazily.
 
-    Every mask lies below bit `width`.  Each distinct value of each
-    CHUNK_BITS-wide chunk has its product computed once, by `mask_product`,
-    and a mask's product multiplies its chunks' products in ascending chunk
-    order from 1.0, which is exactly `mask_product`'s order: the terms are
-    bit-identical to the direct walk.
+    `chunks` holds the CHUNK_MASK-wide bit fields below `width`, lowest
+    first.  Entries are computed on first lookup, so the table holds only
+    the field values met.
     """
-    tables: list[tuple[int, dict[int, float]]] = [
-        (shift, {}) for shift in range(0, width, CHUNK_BITS)
-    ]
-    for mask, c in entries:
-        if c:
-            p = 1.0
-            for shift, table in tables:
-                chunk = mask >> shift & CHUNK_MASK
-                q = table.get(chunk)
-                if q is None:
-                    q = table[chunk] = mask_product(chunk << shift, reliabilities)
-                p *= q
-            yield c * p
+
+    def __init__(self, reliabilities: Sequence[float], width: int) -> None:
+        super().__init__()
+        self.reliabilities = reliabilities
+        self.chunks = [CHUNK_MASK << shift for shift in range(0, width, CHUNK_BITS)]
+
+    def __missing__(self, field: int) -> float:
+        p = self[field] = mask_product(field, self.reliabilities)
+        return p
+
+
+def _multiply(factors: Sequence[Iterable[float]]) -> Iterator[float]:
+    """Elementwise products of per-chunk product columns, lowest chunk first.
+
+    This is `mask_product`'s order: a mask's product is its chunk fields'
+    products multiplied from the lowest up, a field the mask leaves empty
+    reads 1.0 or is left out, and x * 1.0 == x, so the products are
+    bit-identical to `mask_product`'s.
+    """
+    products = iter(factors[0])
+    for factor in factors[1:]:
+        products = map(operator.mul, products, factor)
+    return products
 
 
 def _signed_sum(coefficients: dict[int, int], reliabilities: list[float]) -> float:
     """Correctly rounded sum of c * P(mask), so the map's order never matters.
 
     A map with more entries than a chunk has values takes its products from
-    memoised chunk products; a smaller one would not repay the tables and
+    a `_ChunkProducts` table; a smaller one would not repay the table and
     walks each mask.  Both give the same floats.
     """
     if len(coefficients) > 1 << CHUNK_BITS:
-        width = max(coefficients).bit_length()
-        terms = _memoised_terms(coefficients.items(), reliabilities, width)
+        table = _ChunkProducts(reliabilities, max(coefficients).bit_length())
+        # the nonzero masks, read lazily and in step once per chunk
+        masks = itertools.compress(coefficients, coefficients.values())
+        copies = itertools.tee(masks, len(table.chunks))
+        factors = [
+            map(table.__getitem__, map(chunk.__and__, copy))
+            for chunk, copy in zip(table.chunks, copies)
+        ]
+        terms: Iterable[float] = map(
+            operator.mul, filter(None, coefficients.values()), _multiply(factors)
+        )
     else:
         terms = (
             c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
@@ -295,54 +321,130 @@ def _group_sum(
     """(signed sum, distinct unions) of one group, without holding its map.
 
     A group of one function sums its own map.  Otherwise the functions
-    before the last are folded by `_fold` into a head map.  A key of the
-    last merge is a | b with b inside the last function's support S, so
-    head entries that differ outside S never reach one key: the head is
-    split by a & ~S, and each part is merged with the last function's own
-    map, summed and dropped.  A merge that cannot pass _CHECK_EVERY entries
-    is made in one part, since splitting it saves less than it costs.  All
-    the terms go to one `math.fsum`, so the sum and count are bit-identical
-    to `_signed_sum(_fold(functions))` and `len(_fold(functions))`.  The
-    running count of distinct unions is checked against MAX_LIVE_MASKS once
-    per head entry, so CapExceeded fires exactly when the whole map would
-    have passed it.
+    before the last are folded by `_fold` into a head map, and the last
+    merge, head times the last function's own map, is summed as it is made.
+    A merge that cannot pass _CHECK_EVERY entries is made whole and summed.
+    A larger one goes to `_split_sum`, which sums it part by part, a part
+    being the head entries that differ only inside the last function's
+    support, and merges the last function's map once per distinct set of
+    a part's (inner pattern, coefficient) pairs, not once per head entry.
+    The sum and count are bit-identical to `_signed_sum(_fold(functions))`
+    and `len(_fold(functions))`.  The running count of distinct unions is
+    checked against MAX_LIVE_MASKS after every part and during every merge,
+    so CapExceeded fires exactly when the whole map would have passed it.
     """
     if len(functions) == 1:
         own = _own_map(functions[0])
         return _signed_sum(own, reliabilities), len(own)
     head = _fold(functions[:-1])
     last = _own_map(functions[-1])
-    inside = 0
-    for m in functions[-1]:
-        inside |= m
     if len(head) * len(last) > _CHECK_EVERY:
-        split: dict[int, list[int]] = {}
-        for a in head:
-            split.setdefault(a & ~inside, []).append(a)
-        parts: Iterable[Iterable[int]] = split.values()
-    else:
-        parts = [head]
+        return _split_sum(head, last, functions[-1], reliabilities)
+    merged: dict[int, int] = {}
+    for a, ca in head.items():
+        for b, cb in last.items():
+            key = a | b
+            merged[key] = merged.get(key, 0) + ca * cb
+        _check_live_masks(len(merged))
+    return _signed_sum(merged, reliabilities), len(merged)
+
+
+def _split_sum(
+    head: dict[int, int],
+    last: dict[int, int],
+    last_masks: list[int],
+    reliabilities: list[float],
+) -> tuple[float, int]:
+    """`_group_sum` of a large last merge, summed part by part.
+
+    A key of the merge is a | b with b inside the last function's support
+    S, so head entries that differ outside S never reach one key: the head
+    is split into parts by outer = a & ~S, and a part's keys are outer | y
+    with y inside S.  A part's row {y: coefficient} depends only on its
+    entries' inner patterns x = a & S and coefficients, and a head has few
+    patterns however many entries it has, so parts with the same (pattern,
+    coefficient) pairs share one row, merged once.  Nearly every part has
+    one entry, and takes its row with no merge of its own.  A row's length
+    is the part's distinct count, and a part's terms are c * P(outer | y)
+    over the row's nonzero entries, P taken chunk by chunk in
+    `mask_product`'s order: in a chunk that S does not meet the field is
+    outer's alone, and in one that it meets a row's products under one
+    field value of outer are looked up once and kept.  Rows and kept
+    products are dropped together whenever they pass _HELD_PRODUCTS
+    entries.  Every term goes to one `math.fsum`.
+    """
+    inside = 0
+    for m in last_masks:
+        inside |= m
+    table = _ChunkProducts(reliabilities, (max(head) | inside).bit_length())
+    chunks = table.chunks
+    # (pattern, coefficient) pairs of a part: (distinct keys, nonzero keys,
+    # their coefficients, per chunk {outer's field: the keys' products there}
+    # or None where S does not meet the chunk)
+    rows: dict[tuple[tuple[int, int], ...], tuple] = {}
+    # nonzero keys: the per-chunk products of every row with those keys
+    memos: dict[tuple[int, ...], list[dict[int, list[float]] | None]] = {}
+    held = 0
     distinct = 0
 
-    def entries() -> Iterator[tuple[int, int]]:
+    def keep(count: int) -> None:
+        nonlocal held
+        held += count
+        if held > _HELD_PRODUCTS:
+            rows.clear()
+            memos.clear()
+            held = count
+
+    def part_terms(
+        outer: int, signature: tuple[tuple[int, int], ...]
+    ) -> Iterable[float]:
         nonlocal distinct
-        for part in parts:
+        if signature not in rows:
             merged: dict[int, int] = {}
-            for a in part:
-                ca = head[a]
+            for x, ca in signature:
                 for b, cb in last.items():
-                    key = a | b
+                    key = x | b
                     merged[key] = merged.get(key, 0) + ca * cb
                 _check_live_masks(distinct + len(merged))
-            distinct += len(merged)
-            yield from merged.items()
+            keep(len(merged))
+            keys = tuple(y for y, c in merged.items() if c)
+            if keys not in memos:
+                memos[keys] = [{} if chunk & inside else None for chunk in chunks]
+            rows[signature] = len(merged), keys, [merged[y] for y in keys], memos[keys]
+        size, keys, coefficients, memo = rows[signature]
+        distinct += size
+        _check_live_masks(distinct)
+        if not coefficients:
+            return iter(())
+        factors: list[Iterable[float]] = []
+        for chunk, kept in zip(chunks, memo):
+            o = outer & chunk
+            if kept is None:
+                # every key's field here is outer's own: one product, or 1.0
+                if o:
+                    factors.append(itertools.repeat(table[o]))
+            else:
+                if o not in kept:
+                    keep(len(keys))
+                    kept[o] = [table[o | y & chunk] for y in keys]
+                factors.append(kept[o])
+        return map(operator.mul, coefficients, _multiply(factors))
 
-    if len(head) * len(last) > 1 << CHUNK_BITS:
-        width = (max(head) | inside).bit_length()
-        terms = _memoised_terms(entries(), reliabilities, width)
-    else:
-        terms = (c * mask_product(mask, reliabilities) for mask, c in entries() if c)
-    return math.fsum(terms), distinct
+    outside = ~inside
+    part_sizes = Counter(map(outside.__and__, head))
+    shared: dict[int, list[int]] = {}
+
+    def terms() -> Iterator[Iterable[float]]:
+        for a, ca in head.items():
+            outer = a & outside
+            if part_sizes[outer] > 1:
+                shared.setdefault(outer, []).append(a)
+            else:
+                yield part_terms(outer, ((a ^ outer, ca),))
+        for outer, part in shared.items():
+            yield part_terms(outer, tuple(sorted((a & inside, head[a]) for a in part)))
+
+    return math.fsum(itertools.chain.from_iterable(terms())), distinct
 
 
 def reliability_simplified(

@@ -246,7 +246,8 @@ def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
     that is the plain ascending product.  This is the one product primitive
     behind every route, so equal masks always give bit-identical products,
     and a product assembled from memoised chunk products in the same order
-    (`evaluate._memoised_terms`, behind every large sum) is bit-identical too.
+    (`evaluate._ChunkProducts` and `evaluate._multiply`, behind every large
+    sum) is bit-identical too.
     `reliabilities` is the dense list `reliability_array(spec)`.
     """
     p = 1.0

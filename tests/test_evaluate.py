@@ -29,7 +29,14 @@ from relcover import (
     term_stream,
 )
 from relcover import evaluate
-from relcover.evaluate import _fold, _group_sum, _groups, _memoised_terms, _signed_sum
+from relcover.evaluate import (
+    _ChunkProducts,
+    _fold,
+    _group_sum,
+    _groups,
+    _multiply,
+    _signed_sum,
+)
 from relcover.system import CHUNK_BITS, mask_product, reliability_array
 
 
@@ -243,12 +250,18 @@ def test_memoised_products_are_bit_identical(drawn):
         assert product.hex() == chunked_product(ids, reliabilities).hex()
         if mask < 1 << CHUNK_BITS:
             assert product == math.prod(reliabilities[i] for i in sorted(ids))
-    direct = [
-        c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
+    masks = list(coefficients)
+    table = _ChunkProducts(reliabilities, max(masks).bit_length() or 1)
+    factors = [[table[m & chunk] for m in masks] for chunk in table.chunks]
+    products = list(_multiply(factors))
+    assert [p.hex() for p in products] == [
+        mask_product(m, reliabilities).hex() for m in masks
     ]
-    width = max(coefficients).bit_length()
-    memoised = list(_memoised_terms(coefficients.items(), reliabilities, width))
-    assert [t.hex() for t in memoised] == [t.hex() for t in direct]
+    # every field product the table memoised is that field's own product
+    assert table
+    for field, p in table.items():
+        assert any(field & ~chunk == 0 for chunk in table.chunks)
+        assert p.hex() == mask_product(field, reliabilities).hex()
 
 
 def test_large_map_sum_equals_the_direct_sum():
@@ -277,38 +290,69 @@ def to_masks(functions):
     return [[sum(1 << c for c in impl) for impl in function] for function in functions]
 
 
+# Two functions of four implementations {0, i} and a last function of six
+# implementations {0, c} on ids 120..125: the last merge has 225 * 63 =
+# 14,175 distinct unions, its support meets the head only in component 0,
+# which every head entry holds, so each head entry is a part of its own.
+SINGLE_ENTRY_PARTS = [[{0, 4 * f + j + 1} for j in range(4)] for f in range(2)] + [
+    [{0, c} for c in range(120, 126)]
+]
+
+# The same group with component c moved to id 3c + 2, so its ids run from 2
+# to 119 and its masks span all eight chunks.
+SPREAD = [[{3 * c + 2 for c in impl} for impl in function] for function in ABOVE_A_CHUNK]
+
+
 @st.composite
 def groups_of_functions(draw):
-    """1-3 head functions on ids 0..19 and a last one on ids 0..39, so
-    overlapping the head, or on ids 20..39, apart from it; 40 reliabilities."""
+    """1-3 head functions on ids 0..63 and a last one on ids 0..127, so
+    overlapping the head, or on ids 64..127, apart from it; 128 reliabilities.
+
+    A head function may hold an implementation inside another, which gives
+    the head zero coefficients, and the last function may take a head
+    function's whole support, so that head entries differing only inside the
+    last function's support share a part of its merge.
+    """
     reliabilities = draw(
         st.lists(
             st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-            min_size=40,
-            max_size=40,
+            min_size=128,
+            max_size=128,
         )
     )
 
     def function(low, high):
-        ids = st.integers(low, high)
+        edges = [i for i in (0, 15, 16, 47, 48, 63, 64, 127) if low <= i <= high]
+        ids = st.one_of(st.sampled_from(edges), st.integers(low, high))
         return st.lists(st.sets(ids, min_size=1, max_size=3), min_size=1, max_size=4)
 
-    head = draw(st.lists(function(0, 19), min_size=1, max_size=3))
-    last = draw(function(draw(st.sampled_from([0, 20])), 39))
+    head = draw(st.lists(function(0, 63), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        nesting = draw(st.sampled_from(head))
+        inner = draw(st.sampled_from(nesting))
+        nesting.append(inner | draw(st.sets(st.integers(0, 63), min_size=1, max_size=2)))
+    last = draw(function(draw(st.sampled_from([0, 64])), 127))
+    if draw(st.booleans()):
+        last.append(set().union(*draw(st.sampled_from(head))))
     return to_masks(head + [last]), reliabilities
 
 
 @given(drawn=groups_of_functions())
 @example(drawn=(to_masks(ABOVE_A_CHUNK), [0.5 + i / 100 for i in range(40)]))
+@example(drawn=(to_masks(SPREAD), [0.2 + i / 200 for i in range(120)]))
 def test_group_sum_is_the_folded_sum_bit_for_bit(drawn):
     functions, reliabilities = drawn
     folded = _fold(functions)
     expected = (_signed_sum(folded, reliabilities).hex(), len(folded))
     total, distinct = _group_sum(functions, reliabilities)
     assert (total.hex(), distinct) == expected
-    # split every last merge into parts, however small
+    # split every last merge into parts, however small, then also drop the
+    # kept rows and chunk products at every addition
     with mock.patch.object(evaluate, "_CHECK_EVERY", 1):
         total, distinct = _group_sum(functions, reliabilities)
+        assert (total.hex(), distinct) == expected
+        with mock.patch.object(evaluate, "_HELD_PRODUCTS", 0):
+            total, distinct = _group_sum(functions, reliabilities)
     assert (total.hex(), distinct) == expected
 
 
@@ -374,8 +418,9 @@ def test_budget_aborts_long_classical_run():
         # one function of 4 disjoint implementations: 15 unions and no merge
         ([[{0}, {1}, {2}, {3}]], 15),
         (ABOVE_A_CHUNK, 121_009),
+        (SINGLE_ENTRY_PARTS, 14_175),
     ],
-    ids=["two-functions", "one-function", "above-a-chunk"],
+    ids=["two-functions", "one-function", "above-a-chunk", "single-entry-parts"],
 )
 def test_live_mask_cap_stops_the_fold(monkeypatch, functions, distinct):
     # the cap stops exactly the groups whose whole map would pass it
