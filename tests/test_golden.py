@@ -25,6 +25,7 @@ from relcover import (
 )
 from relcover import evaluate
 from relcover.evaluate import _fold, _groups, _own_map
+from relcover.system import CHUNK_BITS
 
 # fixture: (simplified value, distinct unions, classical value or None past |W| = 20)
 FIXTURES = {
@@ -130,3 +131,17 @@ def test_generated_values_are_pinned(spec, value, distinct):
     assert len(_fold(functions[:-1])) * len(_own_map(functions[-1])) > evaluate._CHECK_EVERY
     report = reliability_simplified(spec)
     assert (report.reliability.hex(), report.distinct_product_count) == (value, distinct)
+
+
+def test_large_own_map_values_are_pinned():
+    # one function of 17 implementations on 60 ids spread over all four
+    # chunks, so its own map has more entries than a chunk has values
+    spec = relabelled(generate_random_system(FamilyShape((17,)), 60, 0.3, seed=1), 1)
+    own = _own_map([impl.mask for impl in spec.functions[0]])
+    assert len(own) > 1 << CHUNK_BITS
+    report = reliability_simplified(spec)
+    assert (report.reliability.hex(), report.distinct_product_count) == (
+        "0x1.fdd53ad19c45bp-1",
+        93_183,
+    )
+    assert exact_union_probability(spec).hex() == "0x1.fdd53ad19c45bp-1"
