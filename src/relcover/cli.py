@@ -18,7 +18,7 @@ import io
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bench import rows_to_csv, run_bench
 from .bounds import (
@@ -142,29 +142,40 @@ def cmd_eval(args) -> int:
 # `count` prints a term count in full only while it has at most this many
 # bits: 2^|W| - 1 has |W|, prod (2^{t_i} - 1) fewer than sum t_i.  Past it
 # the integer alone would run to thousands of digits, and to gigabytes
-# before that, so the count is printed as a power or a product of powers.
+# before that, so the count is printed as a power or a product of powers;
+# so is |W| itself past this many bits.
 _EXACT_COUNT_MAX_BITS = 4096
 
 
-def _simplified_power_form(sizes: Sequence[int]) -> str:
-    # prod (2^{t_i} - 1) with equal factors gathered, e.g. (2^1000-1)^20
+def _power_form(sizes: Iterable[int], factor: str) -> str:
+    # prod factor(t) with equal factors gathered, e.g. (2^1000-1)^20 or 3^10000
     return "*".join(
-        f"(2^{t}-1)^{k}" if k > 1 else f"(2^{t}-1)"
+        f"{factor.format(t)}^{k}" if k > 1 else factor.format(t)
         for t, k in sorted(Counter(sizes).items())
     )
 
 
+def _classical_count(shape: FamilyShape) -> str:
+    # 2^|W| - 1 in full up to |W| = 4096, then with |W| in full while it has
+    # at most 4096 bits, then with |W| as a product of powers of the sizes
+    w = shape.product_size
+    if w <= _EXACT_COUNT_MAX_BITS:
+        return str(count_terms_classical(shape))
+    if w.bit_length() <= _EXACT_COUNT_MAX_BITS:
+        return f"2^{w}-1"
+    return f"2^({_power_form((t for t in shape.sizes if t > 1), '{}')})-1"
+
+
 def cmd_count(args) -> int:
     shape = FamilyShape(_parse_shape(args.shape))
-    w = shape.product_size
     header = ("functions", "shape", "terms_classical", "terms_simplified")
     row = (
         str(shape.n),
         _shape_label(shape.sizes),
-        str(count_terms_classical(shape)) if w <= _EXACT_COUNT_MAX_BITS else f"2^{w}-1",
+        _classical_count(shape),
         str(count_terms_simplified(shape))
         if shape.m <= _EXACT_COUNT_MAX_BITS
-        else _simplified_power_form(shape.sizes),
+        else _power_form(shape.sizes, "(2^{}-1)"),
     )
     _emit_table(header, [row], args.pretty)
     return 0

@@ -19,8 +19,8 @@ classical route takes the subsets of W.  A function's own map is built
 straight from the prefix table while it has fewer subsets than
 `_accumulate` takes between checks, and by `_accumulate` past that; every
 other map is built by `_accumulate`, which stops past MAX_LIVE_MASKS masks
-or a deadline, except the fold's merges, tight loops that check the same
-cap.
+or a deadline, except the fold's merges, which `_merge`, the one
+OR-convolution loop, makes under the same cap.
 
 Functions whose supports (the components of all their implementations)
 are linked, directly or through other functions, form one group; groups
@@ -44,14 +44,12 @@ maps give bit-identical results, run to run and route to route.
 
 Each product comes in `system.mask_product`'s one order: component ids in
 chunks of CHUNK_BITS, each chunk multiplied from 1.0 in ascending id order,
-the chunk products in ascending chunk order.  A sum that can reach more
-entries than a chunk has values (a connected 4^5 system folds to about
-half a million, with at most about a thousand distinct values in any one
-chunk), and every split last merge, computes each chunk value's product
-once, in a `_ChunkProducts` table, and each mask's product as one lookup
-per chunk, multiplied in that same order by `_multiply`; smaller sums walk
-each mask.  Both give the same floats, so the choice never changes a
-result.
+the chunk products in ascending chunk order.  `_signed_sum` walks each
+mask.  Only a split last merge, whose parts repeat the same chunk values
+many times over, computes each chunk value's product once, in a
+`_ChunkProducts` table, and each key's product as one lookup per chunk,
+multiplied in that same order by `_multiply`.  Both give the same floats,
+so the split never changes a result.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ import math
 import operator
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -212,24 +209,34 @@ def _signed_unions(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
             yield union | high, sign * flip
 
 
+def _merge(
+    pairs: Iterable[tuple[int, int]], own: dict[int, int], distinct: int = 0
+) -> dict[int, int]:
+    """{a | b: summed ca * cb} over (a, ca) in pairs and (b, cb) in own, zeros kept.
+
+    The one OR-convolution loop.  After each pair it raises CapExceeded
+    once `distinct` unions counted elsewhere plus the map's own pass
+    MAX_LIVE_MASKS.
+    """
+    merged: dict[int, int] = {}
+    for a, ca in pairs:
+        for b, cb in own.items():
+            key = a | b
+            merged[key] = merged.get(key, 0) + ca * cb
+        _check_live_masks(distinct + len(merged))
+    return merged
+
+
 def _fold(functions: list[list[int]]) -> dict[int, int]:
     """{union mask: net coefficient} over every covering selection.
 
-    OR-convolution of one signed union map per function.  Zero entries are
-    kept, so the keys are exactly the distinct covering-selection unions.
-    Own maps come from `_own_map`; the merge checks MAX_LIVE_MASKS once per
-    outer entry.
+    `_merge` of one signed union map per function, own maps from
+    `_own_map`.  Zero entries are kept, so the keys are exactly the
+    distinct covering-selection unions.
     """
     total = _own_map(functions[0])
     for masks in functions[1:]:
-        own = _own_map(masks)
-        merged: dict[int, int] = {}
-        for a, ca in total.items():
-            for b, cb in own.items():
-                key = a | b
-                merged[key] = merged.get(key, 0) + ca * cb
-            _check_live_masks(len(merged))
-        total = merged
+        total = _merge(total.items(), _own_map(masks))
     return total
 
 
@@ -266,29 +273,10 @@ def _multiply(factors: Sequence[Iterable[float]]) -> Iterator[float]:
 
 
 def _signed_sum(coefficients: dict[int, int], reliabilities: list[float]) -> float:
-    """Correctly rounded sum of c * P(mask), so the map's order never matters.
-
-    A map with more entries than a chunk has values takes its products from
-    a `_ChunkProducts` table; a smaller one would not repay the table and
-    walks each mask.  Both give the same floats.
-    """
-    if len(coefficients) > 1 << CHUNK_BITS:
-        table = _ChunkProducts(reliabilities, max(coefficients).bit_length())
-        # the nonzero masks, read lazily and in step once per chunk
-        masks = itertools.compress(coefficients, coefficients.values())
-        copies = itertools.tee(masks, len(table.chunks))
-        factors = [
-            map(table.__getitem__, map(chunk.__and__, copy))
-            for chunk, copy in zip(table.chunks, copies)
-        ]
-        terms: Iterable[float] = map(
-            operator.mul, filter(None, coefficients.values()), _multiply(factors)
-        )
-    else:
-        terms = (
-            c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
-        )
-    return math.fsum(terms)
+    """Correctly rounded sum of c * P(mask), so the map's order never matters."""
+    return math.fsum(
+        c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
+    )
 
 
 def _groups(functions: list[list[int]]) -> list[tuple[int, list[list[int]]]]:
@@ -323,15 +311,16 @@ def _group_sum(
     A group of one function sums its own map.  Otherwise the functions
     before the last are folded by `_fold` into a head map, and the last
     merge, head times the last function's own map, is summed as it is made.
-    A merge that cannot pass _CHECK_EVERY entries is made whole and summed.
-    A larger one goes to `_split_sum`, which sums it part by part, a part
-    being the head entries that differ only inside the last function's
-    support, and merges the last function's map once per distinct set of
-    a part's (inner pattern, coefficient) pairs, not once per head entry.
-    The sum and count are bit-identical to `_signed_sum(_fold(functions))`
-    and `len(_fold(functions))`.  The running count of distinct unions is
-    checked against MAX_LIVE_MASKS after every part and during every merge,
-    so CapExceeded fires exactly when the whole map would have passed it.
+    A merge that cannot pass _CHECK_EVERY entries is made whole by `_merge`
+    and summed.  A larger one goes to `_split_sum`, which sums it part by
+    part, a part being the head entries that differ only inside the last
+    function's support, and merges the last function's map once per
+    distinct set of a part's (inner pattern, coefficient) pairs, not once
+    per head entry.  The sum and count are bit-identical to
+    `_signed_sum(_fold(functions))` and `len(_fold(functions))`.  The
+    running count of distinct unions is checked against MAX_LIVE_MASKS
+    after every part and during every merge, so CapExceeded fires exactly
+    when the whole map would have passed it.
     """
     if len(functions) == 1:
         own = _own_map(functions[0])
@@ -340,12 +329,7 @@ def _group_sum(
     last = _own_map(functions[-1])
     if len(head) * len(last) > _CHECK_EVERY:
         return _split_sum(head, last, functions[-1], reliabilities)
-    merged: dict[int, int] = {}
-    for a, ca in head.items():
-        for b, cb in last.items():
-            key = a | b
-            merged[key] = merged.get(key, 0) + ca * cb
-        _check_live_masks(len(merged))
+    merged = _merge(head.items(), last)
     return _signed_sum(merged, reliabilities), len(merged)
 
 
@@ -360,14 +344,15 @@ def _split_sum(
     A key of the merge is a | b with b inside the last function's support
     S, so head entries that differ outside S never reach one key: the head
     is split into parts by outer = a & ~S, and a part's keys are outer | y
-    with y inside S.  A part's row {y: coefficient} depends only on its
-    entries' inner patterns x = a & S and coefficients, and a head has few
-    patterns however many entries it has, so parts with the same (pattern,
-    coefficient) pairs share one row, merged once.  Nearly every part has
-    one entry, and takes its row with no merge of its own.  A row's length
-    is the part's distinct count, and a part's terms are c * P(outer | y)
-    over the row's nonzero entries, P taken chunk by chunk in
-    `mask_product`'s order: in a chunk that S does not meet the field is
+    with y inside S.  The parts come from one sort of the head's keys, by
+    outer and then by key, so a part's entries come in ascending inner
+    pattern x = a & S and its (pattern, coefficient) pairs are already in
+    one canonical order.  A part's row {y: coefficient} depends only on
+    those pairs, and a head has few patterns however many entries it has,
+    so parts with the same pairs share one row, merged once by `_merge`.
+    A row's length is the part's distinct count, and a part's terms are
+    c * P(outer | y) over the row's nonzero entries, P taken chunk by chunk
+    in `mask_product`'s order: in a chunk that S does not meet the field is
     outer's alone, and in one that it meets a row's products under one
     field value of outer are looked up once and kept.  Rows and kept
     products are dropped together whenever they pass _HELD_PRODUCTS
@@ -395,54 +380,39 @@ def _split_sum(
             memos.clear()
             held = count
 
-    def part_terms(
-        outer: int, signature: tuple[tuple[int, int], ...]
-    ) -> Iterable[float]:
-        nonlocal distinct
-        if signature not in rows:
-            merged: dict[int, int] = {}
-            for x, ca in signature:
-                for b, cb in last.items():
-                    key = x | b
-                    merged[key] = merged.get(key, 0) + ca * cb
-                _check_live_masks(distinct + len(merged))
-            keep(len(merged))
-            keys = tuple(y for y, c in merged.items() if c)
-            if keys not in memos:
-                memos[keys] = [{} if chunk & inside else None for chunk in chunks]
-            rows[signature] = len(merged), keys, [merged[y] for y in keys], memos[keys]
-        size, keys, coefficients, memo = rows[signature]
-        distinct += size
-        _check_live_masks(distinct)
-        if not coefficients:
-            return iter(())
-        factors: list[Iterable[float]] = []
-        for chunk, kept in zip(chunks, memo):
-            o = outer & chunk
-            if kept is None:
-                # every key's field here is outer's own: one product, or 1.0
-                if o:
-                    factors.append(itertools.repeat(table[o]))
-            else:
-                if o not in kept:
-                    keep(len(keys))
-                    kept[o] = [table[o | y & chunk] for y in keys]
-                factors.append(kept[o])
-        return map(operator.mul, coefficients, _multiply(factors))
-
     outside = ~inside
-    part_sizes = Counter(map(outside.__and__, head))
-    shared: dict[int, list[int]] = {}
+    order = sorted(head)
+    order.sort(key=outside.__and__)
 
     def terms() -> Iterator[Iterable[float]]:
-        for a, ca in head.items():
-            outer = a & outside
-            if part_sizes[outer] > 1:
-                shared.setdefault(outer, []).append(a)
-            else:
-                yield part_terms(outer, ((a ^ outer, ca),))
-        for outer, part in shared.items():
-            yield part_terms(outer, tuple(sorted((a & inside, head[a]) for a in part)))
+        nonlocal distinct
+        for outer, part in itertools.groupby(order, outside.__and__):
+            signature = tuple([(a & inside, head[a]) for a in part])
+            if signature not in rows:
+                merged = _merge(signature, last, distinct)
+                keep(len(merged))
+                keys = tuple(y for y, c in merged.items() if c)
+                if keys not in memos:
+                    memos[keys] = [{} if chunk & inside else None for chunk in chunks]
+                rows[signature] = len(merged), keys, [merged[y] for y in keys], memos[keys]
+            size, keys, coefficients, memo = rows[signature]
+            distinct += size
+            _check_live_masks(distinct)
+            if not coefficients:
+                continue
+            factors: list[Iterable[float]] = []
+            for chunk, kept in zip(chunks, memo):
+                o = outer & chunk
+                if kept is None:
+                    # every key's field here is outer's own: one product, or 1.0
+                    if o:
+                        factors.append(itertools.repeat(table[o]))
+                else:
+                    if o not in kept:
+                        keep(len(keys))
+                        kept[o] = [table[o | y & chunk] for y in keys]
+                    factors.append(kept[o])
+            yield map(operator.mul, coefficients, _multiply(factors))
 
     return math.fsum(itertools.chain.from_iterable(terms())), distinct
 

@@ -15,7 +15,9 @@ the product of a_c over the union mask, each shared component counted once.
 from __future__ import annotations
 
 import json
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -89,10 +91,9 @@ class FamilyShape:
     @property
     def product_size(self) -> int:
         """|W| = prod t_i, the number of one-per-function selections."""
-        out = 1
-        for t in self.sizes:
-            out *= t
-        return out
+        # one power per distinct size: a running product of 10^6 threes
+        # takes quadratic time in the growing integer
+        return math.prod(t**k for t, k in Counter(self.sizes).items())
 
 
 @dataclass(frozen=True)
@@ -246,8 +247,8 @@ def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
     that is the plain ascending product.  This is the one product primitive
     behind every route, so equal masks always give bit-identical products,
     and a product assembled from memoised chunk products in the same order
-    (`evaluate._ChunkProducts` and `evaluate._multiply`, behind every large
-    sum) is bit-identical too.
+    (`evaluate._ChunkProducts` and `evaluate._multiply`, behind a split
+    last merge) is bit-identical too.
     `reliabilities` is the dense list `reliability_array(spec)`.
     """
     p = 1.0
@@ -328,19 +329,22 @@ def generate_random_system(
     and enough components, implementation sets come out pairwise disjoint.
     Reliabilities are uniform on [0.05, 0.95].  Raises GenerationError when
     within-function sets cannot be made pairwise distinct, and ValueError for
-    a negative seed, which `random.Random` would silently read as |seed|.
+    a negative seed, which `random.Random` would silently read as |seed|, or
+    for more components than MAX_COMPONENTS, which no valid system has.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
     if components < shape.n:
         raise ValueError(f"need at least {shape.n} components for {shape.n} functions")
+    if components > MAX_COMPONENTS:
+        raise ValueError(
+            f"{components} components exceeds the mask width cap {MAX_COMPONENTS}"
+        )
     if not (0.0 <= sharing <= 1.0):
         raise ValueError("sharing must lie in [0, 1]")
     size_cap = min(max_impl_size, components)
 
     # Feasibility: function i needs t_i distinct non-empty subsets of size <= cap.
-    import math
-
     available = sum(math.comb(components, s) for s in range(1, size_cap + 1))
     if max(shape.sizes) > available:
         raise GenerationError(

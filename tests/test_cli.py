@@ -275,6 +275,24 @@ def test_count_prints_huge_simplified_as_product(capsys, shape, simplified):
     assert row["terms_simplified"] == simplified
 
 
+@pytest.mark.parametrize(
+    "shape, classical",
+    [
+        ("4095x2", f"2^{1 << 4095}-1"),
+        ("4096x2", "2^(2^4096)-1"),
+        ("10000x3", "2^(3^10000)-1"),
+        (",".join(["5", "1"] + ["3"] * 3000), "2^(3^3000*5)-1"),
+    ],
+    ids=["at-4096-bits", "past-4096-bits", "10000x3", "mixed"],
+)
+def test_count_prints_huge_product_size_as_powers(capsys, shape, classical):
+    # |W| = 3^10000 alone has 4,772 digits, past the integer-string limit
+    code, out, err = run(capsys, "count", shape)
+    assert (code, err) == (0, "")
+    (row,) = parse_csv(out)
+    assert row["terms_classical"] == classical
+
+
 def test_count_label_reads_back(capsys):
     code, out, _ = run(capsys, "count", "2,3")
     assert code == 0
@@ -375,6 +393,12 @@ def test_gen_infeasible_exits_1(capsys):
     code, _, err = run(capsys, "gen", "5", "--components", "1")
     assert code == 1
     assert "error" in err
+
+
+def test_gen_refuses_more_components_than_the_cap(capsys):
+    code, out, err = run(capsys, "gen", "2x2", "--components", "129")
+    assert (code, out) == (1, "")
+    assert err == "error: 129 components exceeds the mask width cap 128\n"
 
 
 # --- paths ------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 import sys
 import tracemalloc
 from collections import Counter
@@ -35,7 +34,9 @@ from relcover.evaluate import (
     _group_sum,
     _groups,
     _multiply,
+    _own_map,
     _signed_sum,
+    _split_sum,
 )
 from relcover.system import CHUNK_BITS, mask_product, reliability_array
 
@@ -264,19 +265,6 @@ def test_memoised_products_are_bit_identical(drawn):
         assert p.hex() == mask_product(field, reliabilities).hex()
 
 
-def test_large_map_sum_equals_the_direct_sum():
-    rng = random.Random(5)
-    reliabilities = [rng.uniform(0.05, 0.95) for _ in range(40)]
-    coefficients = {
-        rng.getrandbits(40): rng.randint(-3, 3) for _ in range((1 << CHUNK_BITS) + 1000)
-    }
-    assert len(coefficients) > 1 << CHUNK_BITS
-    expected = math.fsum(
-        c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
-    )
-    assert _signed_sum(coefficients, reliabilities) == expected
-
-
 # Three functions of four one-component implementations on ids 0..33, and a
 # last function of six that links all three: 121,009 distinct unions, over
 # three chunks of ids, so the last merge is split into many parts and its
@@ -354,6 +342,31 @@ def test_group_sum_is_the_folded_sum_bit_for_bit(drawn):
         with mock.patch.object(evaluate, "_HELD_PRODUCTS", 0):
             total, distinct = _group_sum(functions, reliabilities)
     assert (total.hex(), distinct) == expected
+
+
+@pytest.mark.parametrize(
+    "functions", [ABOVE_A_CHUNK, SINGLE_ENTRY_PARTS], ids=["above-a-chunk", "single-entry-parts"]
+)
+def test_parts_with_equal_pairs_share_one_merged_row(functions):
+    masks = to_masks(functions)
+    reliabilities = [0.3 + i / 200 for i in range(126)]
+    head, last = _fold(masks[:-1]), _own_map(masks[-1])
+    inside = 0
+    for m in masks[-1]:
+        inside |= m
+    parts: dict[int, set[tuple[int, int]]] = {}
+    for a, c in head.items():
+        parts.setdefault(a & ~inside, set()).add((a & inside, c))
+    signatures = {frozenset(pairs) for pairs in parts.values()}
+    assert len(signatures) < len(parts)
+    expected = (_signed_sum(_fold(masks), reliabilities).hex(), len(_fold(masks)))
+    # nothing held is ever dropped, so each distinct row is merged exactly once
+    with mock.patch.object(evaluate, "_HELD_PRODUCTS", 1 << 30):
+        for built in (head, dict(reversed(head.items()))):
+            with mock.patch.object(evaluate, "_merge", wraps=evaluate._merge) as merge:
+                total, distinct = _split_sum(built, last, masks[-1], reliabilities)
+            assert merge.call_count == len(signatures)
+            assert (total.hex(), distinct) == expected
 
 
 def test_simplified_never_holds_the_whole_map():

@@ -249,6 +249,11 @@ def test_generator_needs_enough_components():
         generate_random_system(FamilyShape((1, 1, 1)), 2, 0.5, seed=0)
 
 
+def test_generator_rejects_more_components_than_the_cap():
+    with pytest.raises(ValueError, match="129 components exceeds the mask width cap 128"):
+        generate_random_system(FamilyShape((2, 2)), 129, 0.5, seed=0)
+
+
 def test_generator_rejects_bad_sharing():
     with pytest.raises(ValueError):
         generate_random_system(FamilyShape((2,)), 4, 1.5, seed=0)
