@@ -25,7 +25,7 @@ from relcover import (
 )
 from relcover import evaluate
 from relcover.evaluate import _fold, _groups, _own_map
-from relcover.system import CHUNK_BITS
+from relcover.system import CHUNK_BITS, CHUNK_MASK
 
 # fixture: (simplified value, distinct unions, classical value or None past |W| = 20)
 FIXTURES = {
@@ -96,6 +96,28 @@ GENERATED = [
 ]
 
 
+# 4^5 systems whose last merge is split: (spec, value, distinct unions,
+# chunks the last function's support meets, whether some part has more than
+# one head entry); recorded from the engine that summed a split merge part
+# by part
+SPLIT = [
+    (
+        generate_random_system(FamilyShape((4,) * 5), 40, 0.3, seed=3),
+        "0x1.93afda83d7da0p-3",
+        374_595,
+        2,
+        False,
+    ),
+    (
+        generate_random_system(FamilyShape((4,) * 5), 32, 0.3, seed=10),
+        "0x1.74dac53d1c233p-2",
+        143_615,
+        1,
+        True,
+    ),
+]
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixture_values_are_pinned(fixtures_dir, name):
     simplified, distinct, classical = FIXTURES[name]
@@ -129,6 +151,25 @@ def test_generated_values_are_pinned(spec, value, distinct):
     assert len(_groups(functions)) == 1
     # the last merge is large enough to be split into parts
     assert len(_fold(functions[:-1])) * len(_own_map(functions[-1])) > evaluate._CHECK_EVERY
+    report = reliability_simplified(spec)
+    assert (report.reliability.hex(), report.distinct_product_count) == (value, distinct)
+
+
+@pytest.mark.parametrize(
+    "spec, value, distinct, chunks, multi", SPLIT, ids=["two-chunks", "multi-entry-parts"]
+)
+def test_split_values_are_pinned(spec, value, distinct, chunks, multi):
+    functions = [[impl.mask for impl in f] for f in spec.functions]
+    assert len(_groups(functions)) == 1
+    head = _fold(functions[:-1])
+    assert len(head) * len(_own_map(functions[-1])) > evaluate._CHECK_EVERY
+    inside = 0
+    for m in functions[-1]:
+        inside |= m
+    met = [shift for shift in range(0, 128, CHUNK_BITS) if inside >> shift & CHUNK_MASK]
+    assert len(met) == chunks
+    outers = [a & ~inside for a in head]
+    assert (len(set(outers)) < len(outers)) == multi
     report = reliability_simplified(spec)
     assert (report.reliability.hex(), report.distinct_product_count) == (value, distinct)
 
