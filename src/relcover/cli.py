@@ -3,7 +3,8 @@
 Subcommands: eval, count, bench, bounds, gen, paths, search-nonmonotone.
 `count`, `gen` and `bench` name a shape as NxT (N functions of T
 implementations each, so 3x3 is 3,3,3) or as explicit sizes t1,t2,...
-(a bare T is one function); every printed shape uses the explicit form.
+(a bare T is one function), at most _MAX_FUNCTIONS functions in all;
+every printed shape uses the explicit form.
 Tabular output is CSV with a fixed header; --pretty renders the same rows
 as aligned text.  Exit codes: 0 success, 1 input or validation error,
 2 a cap or timeout stopped the run.
@@ -55,20 +56,30 @@ class _Parser(argparse.ArgumentParser):
 _SHAPE_HELP = "NxT (N functions of T implementations each) or t1,t2,... e.g. 3x3, 2,3"
 
 
+# A shape names at most this many functions.  Every command holds one size
+# per function, and `count` prints every size: two characters a function.
+_MAX_FUNCTIONS = 1_000_000
+
+
 def _parse_shape(token: str) -> tuple[int, ...]:
     # "3x3" reads as 3 functions with 3 implementations each;
     # "2,3,2" reads as explicit per-function sizes, "3" as one function.
+    # An NxT token is checked before its N sizes are built.
     try:
         if "x" in token:
             n, t = token.split("x")
-            sizes = (int(t),) * int(n)
+            copies, sizes = int(n), (int(t),)
         else:
-            sizes = tuple(int(tok) for tok in token.split(","))
+            copies, sizes = 1, tuple(int(tok) for tok in token.split(","))
     except ValueError:
-        sizes = ()
-    if not sizes or any(t < 1 for t in sizes):
+        copies, sizes = 1, ()
+    if copies < 1 or not sizes or any(t < 1 for t in sizes):
         raise ValueError(f"malformed shape {token!r}")
-    return sizes
+    if copies * len(sizes) > _MAX_FUNCTIONS:
+        raise ValueError(
+            f"shape {token!r} has {copies * len(sizes)} functions, more than {_MAX_FUNCTIONS}"
+        )
+    return sizes * copies
 
 
 def _shape_label(sizes: Sequence[int]) -> str:

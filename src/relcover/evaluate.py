@@ -29,11 +29,11 @@ Birnbaum & Esary (1965) and R is the product of the groups' reliabilities.
 The simplified route folds each group on its own, so a 4^5 system with no
 sharing folds five maps of 15 masks instead of one of 759,375.  A last
 merge that could pass _CHECK_EVERY entries is never held whole:
-`_split_sum` splits the rest of the fold into parts whose merges share no
-key and sums each part as it is made.  A part's row depends only on its
-entries' inner patterns (their bits inside the last function's support)
-and coefficients, and a head has few patterns, so parts alike share one
-row, merged once; nearly every part has one entry and no merge of its own.
+`_split_sum` splits it into parts whose keys differ.  A part's row depends
+only on its entries' inner patterns (their bits inside the last function's
+support) and coefficients, and a head has few patterns, so the parts fall
+into few buckets of alike parts; a bucket's row is merged once and the
+terms of all its parts are summed in one pass.
 The classical route still builds its one map and projects it onto each
 group's support; each per-function map sums to 1, so a projection is
 exactly that group's folded map.  A group's terms, coefficient times the
@@ -45,11 +45,11 @@ maps give bit-identical results, run to run and route to route.
 Each product comes in `system.mask_product`'s one order: component ids in
 chunks of CHUNK_BITS, each chunk multiplied from 1.0 in ascending id order,
 the chunk products in ascending chunk order.  `_signed_sum` walks each
-mask.  Only a split last merge, whose parts repeat the same chunk values
-many times over, computes each chunk value's product once, in a
-`_ChunkProducts` table, and each key's product as one lookup per chunk,
-multiplied in that same order by `_multiply`.  Both give the same floats,
-so the split never changes a result.
+mask.  Only a split last merge, whose buckets repeat the same chunk values
+many times over, takes each chunk value's product once from a
+`_ChunkProducts` table and multiplies a key's chunk products in that same
+order with `_multiply`: the floats are the same, so the split never
+changes a result.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ MAX_LIVE_MASKS = 1 << 22
 # `_accumulate` checks its caps once per this many terms.
 _CHECK_EVERY = 1 << 13
 
-# `_split_sum` keeps at most this many merged row entries and memoised
-# chunk products at once.
+# `_split_sum` holds one bucket's row at a time, and at most this many of
+# its memoised products per chunk.
 _HELD_PRODUCTS = 1 << 13
 
 # Subset unions over this many low counter bits come from one prefix table.
@@ -258,6 +258,23 @@ class _ChunkProducts(dict):
         return p
 
 
+class _Column(dict):
+    """{outer's field o: [table[o | f] for a row's key fields f]} in one chunk.
+
+    Filled lazily; an entry past _HELD_PRODUCTS products drops those held.
+    """
+
+    def __init__(self, table: _ChunkProducts, fields: list[int]) -> None:
+        super().__init__()
+        self.lookup, self.fields = table.__getitem__, fields
+
+    def __missing__(self, o: int) -> list[float]:
+        if (len(self) + 1) * len(self.fields) > _HELD_PRODUCTS:
+            self.clear()
+        products = self[o] = list(map(self.lookup, map(o.__or__, self.fields)))
+        return products
+
+
 def _multiply(factors: Sequence[Iterable[float]]) -> Iterator[float]:
     """Elementwise products of per-chunk product columns, lowest chunk first.
 
@@ -312,14 +329,10 @@ def _group_sum(
     before the last are folded by `_fold` into a head map, and the last
     merge, head times the last function's own map, is summed as it is made.
     A merge that cannot pass _CHECK_EVERY entries is made whole by `_merge`
-    and summed.  A larger one goes to `_split_sum`, which sums it part by
-    part, a part being the head entries that differ only inside the last
-    function's support, and merges the last function's map once per
-    distinct set of a part's (inner pattern, coefficient) pairs, not once
-    per head entry.  The sum and count are bit-identical to
-    `_signed_sum(_fold(functions))` and `len(_fold(functions))`.  The
+    and summed, a larger one by `_split_sum` a bucket of parts at a time,
+    bit-identical to `_signed_sum(_fold(functions))` and its length.  The
     running count of distinct unions is checked against MAX_LIVE_MASKS
-    after every part and during every merge, so CapExceeded fires exactly
+    after every bucket and during every merge, so CapExceeded fires exactly
     when the whole map would have passed it.
     """
     if len(functions) == 1:
@@ -333,85 +346,72 @@ def _group_sum(
     return _signed_sum(merged, reliabilities), len(merged)
 
 
+def _buckets(head: dict[int, int], inside: int) -> dict[tuple, list[int]]:
+    """{signature: a mask with each part's outer} over `_split_sum`'s parts.
+
+    Sorted by key and then by outer, a part's entries are neighbours in
+    ascending pattern order, and outers equal to a neighbour mark the
+    parts of several entries, read part by part.  Every other part's
+    signature is its one pair, so those are bucketed by two stable sorts.
+    """
+    outside = ~inside
+    order = sorted(head)
+    order.sort(key=outside.__and__)
+    outers, same, after = itertools.tee(map(outside.__and__, order), 3)
+    next(after, None)
+    repeated = set(itertools.compress(outers, map(operator.eq, same, after)))
+    several = list(map(repeated.__contains__, map(outside.__and__, order)))
+    buckets: dict[tuple, list[int]] = {}
+    for _, part in itertools.groupby(itertools.compress(order, several), outside.__and__):
+        part = list(part)
+        buckets.setdefault(tuple([(a & inside, head[a]) for a in part]), []).append(part[0])
+    single = sorted(itertools.compress(order, map(operator.not_, several)), key=head.get)
+    single.sort(key=inside.__and__)
+    for x, alike in itertools.groupby(single, inside.__and__):
+        for c, part in itertools.groupby(alike, head.__getitem__):
+            buckets[((x, c),)] = list(part)
+    return buckets
+
+
 def _split_sum(
     head: dict[int, int],
     last: dict[int, int],
     last_masks: list[int],
     reliabilities: list[float],
 ) -> tuple[float, int]:
-    """`_group_sum` of a large last merge, summed part by part.
+    """`_group_sum` of a large last merge, summed one bucket of parts at a time.
 
     A key of the merge is a | b with b inside the last function's support
-    S, so head entries that differ outside S never reach one key: the head
-    is split into parts by outer = a & ~S, and a part's keys are outer | y
-    with y inside S.  The parts come from one sort of the head's keys, by
-    outer and then by key, so a part's entries come in ascending inner
-    pattern x = a & S and its (pattern, coefficient) pairs are already in
-    one canonical order.  A part's row {y: coefficient} depends only on
-    those pairs, and a head has few patterns however many entries it has,
-    so parts with the same pairs share one row, merged once by `_merge`.
-    A row's length is the part's distinct count, and a part's terms are
-    c * P(outer | y) over the row's nonzero entries, P taken chunk by chunk
-    in `mask_product`'s order: in a chunk that S does not meet the field is
-    outer's alone, and in one that it meets a row's products under one
-    field value of outer are looked up once and kept.  Rows and kept
-    products are dropped together whenever they pass _HELD_PRODUCTS
-    entries.  Every term goes to one `math.fsum`.
+    S, so the head splits into parts by outer = a & ~S, whose keys outer | y
+    (y inside S) meet no other part's.  A part's row {y: coefficient}
+    depends only on its signature, its entries' (pattern a & S,
+    coefficient) pairs, and `_buckets` finds few signatures.  A bucket's
+    row is merged once, counted once per part, and gives the terms
+    c * P(outer | y) of all its parts in one pipeline: per chunk, a
+    `_Column` gives each part's products of the row's fields joined with
+    outer's, multiplied in `mask_product`'s order by `_multiply`.  Every
+    term goes to one `math.fsum`.
     """
     inside = 0
     for m in last_masks:
         inside |= m
     table = _ChunkProducts(reliabilities, (max(head) | inside).bit_length())
-    chunks = table.chunks
-    # (pattern, coefficient) pairs of a part: (distinct keys, nonzero keys,
-    # their coefficients, per chunk {outer's field: the keys' products there}
-    # or None where S does not meet the chunk)
-    rows: dict[tuple[tuple[int, int], ...], tuple] = {}
-    # nonzero keys: the per-chunk products of every row with those keys
-    memos: dict[tuple[int, ...], list[dict[int, list[float]] | None]] = {}
-    held = 0
     distinct = 0
-
-    def keep(count: int) -> None:
-        nonlocal held
-        held += count
-        if held > _HELD_PRODUCTS:
-            rows.clear()
-            memos.clear()
-            held = count
-
-    outside = ~inside
-    order = sorted(head)
-    order.sort(key=outside.__and__)
 
     def terms() -> Iterator[Iterable[float]]:
         nonlocal distinct
-        for outer, part in itertools.groupby(order, outside.__and__):
-            signature = tuple([(a & inside, head[a]) for a in part])
-            if signature not in rows:
-                merged = _merge(signature, last, distinct)
-                keep(len(merged))
-                keys = tuple(y for y, c in merged.items() if c)
-                if keys not in memos:
-                    memos[keys] = [{} if chunk & inside else None for chunk in chunks]
-                rows[signature] = len(merged), keys, [merged[y] for y in keys], memos[keys]
-            size, keys, coefficients, memo = rows[signature]
-            distinct += size
+        for signature, parts in _buckets(head, inside).items():
+            row = _merge(signature, last, distinct)
+            distinct += len(row) * len(parts)
             _check_live_masks(distinct)
-            if not coefficients:
-                continue
-            factors: list[Iterable[float]] = []
-            for chunk, kept in zip(chunks, memo):
-                o = outer & chunk
-                if kept is None:
-                    # every key's field here is outer's own: one product, or 1.0
-                    if o:
-                        factors.append(itertools.repeat(table[o]))
-                else:
-                    if o not in kept:
-                        keep(len(keys))
-                        kept[o] = [table[o | y & chunk] for y in keys]
-                    factors.append(kept[o])
+            keys = [y for y, c in row.items() if c]
+            factors = []
+            for chunk in table.chunks:
+                column = _Column(table, [y & chunk for y in keys])
+                fields = map((chunk & ~inside).__and__, parts)
+                factors.append(itertools.chain.from_iterable(map(column.__getitem__, fields)))
+            # an all-zero row has no coefficient, so its factors are never read
+            coefficients = itertools.cycle([row[y] for y in keys])
             yield map(operator.mul, coefficients, _multiply(factors))
 
     return math.fsum(itertools.chain.from_iterable(terms())), distinct

@@ -247,8 +247,9 @@ def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
     that is the plain ascending product.  This is the one product primitive
     behind every route, so equal masks always give bit-identical products,
     and a product assembled from memoised chunk products in the same order
-    (`evaluate._ChunkProducts` and `evaluate._multiply`, behind a split
-    last merge) is bit-identical too.
+    is bit-identical too: a split last merge takes them from
+    `evaluate._ChunkProducts`, through a `evaluate._Column` per chunk for
+    each bucket of alike parts, and multiplies them with `evaluate._multiply`.
     `reliabilities` is the dense list `reliability_array(spec)`.
     """
     p = 1.0

@@ -304,6 +304,18 @@ def test_count_label_reads_back(capsys):
     assert again["terms_simplified"] == "21"
 
 
+def test_count_refuses_more_functions_than_the_cap(capsys):
+    # the sizes are never built: 10^8 of them would take 800 MB
+    code, out, err = run(capsys, "count", "100000000x3")
+    assert (code, out) == (1, "")
+    assert err == "error: shape '100000000x3' has 100000000 functions, more than 1000000\n"
+    code, out, err = run(capsys, "count", "1000000x3")
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    label = ",".join(["3"] * 1_000_000)
+    assert row == f'1000000,"{label}",2^(3^1000000)-1,(2^3-1)^1000000'
+
+
 def test_count_malformed_sizes(capsys):
     code, out, err = run(capsys, "count", "x")
     assert code == 1

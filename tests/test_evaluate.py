@@ -286,6 +286,12 @@ SINGLE_ENTRY_PARTS = [[{0, 4 * f + j + 1} for j in range(4)] for f in range(2)] 
     [{0, c} for c in range(120, 126)]
 ]
 
+# Three head functions, one with an implementation inside another, and a
+# last function on ids 20 and 21 that the third head function reaches: the
+# head's parts with one entry share the pattern 0 under the coefficients
+# 1, -1 and 0, and the rest have two entries, patterns 0 and {20}.
+MIXED = [[{1}, {1, 2}], [{3}, {4}, {3, 4}], [{5}, {5, 20}, {6}], [{20}, {21}]]
+
 # The same group with component c moved to id 3c + 2, so its ids run from 2
 # to 119 and its masks span all eight chunks.
 SPREAD = [[{3 * c + 2 for c in impl} for impl in function] for function in ABOVE_A_CHUNK]
@@ -344,29 +350,74 @@ def test_group_sum_is_the_folded_sum_bit_for_bit(drawn):
     assert (total.hex(), distinct) == expected
 
 
+def parts_of(functions):
+    """{outer: set of (pattern, coefficient)} over the head of a group's last merge."""
+    masks = to_masks(functions)
+    inside = 0
+    for m in masks[-1]:
+        inside |= m
+    parts: dict[int, set[tuple[int, int]]] = {}
+    for a, c in _fold(masks[:-1]).items():
+        parts.setdefault(a & ~inside, set()).add((a & inside, c))
+    return parts
+
+
+def test_mixed_head_has_both_kinds_of_part():
+    parts = parts_of(MIXED)
+    single = [pairs for pairs in parts.values() if len(pairs) == 1]
+    assert {c for (x, c), in single} == {-1, 0, 1}
+    assert {x for (x, c), in single} == {0}
+    assert len(single) < len(parts)
+
+
 @pytest.mark.parametrize(
-    "functions", [ABOVE_A_CHUNK, SINGLE_ENTRY_PARTS], ids=["above-a-chunk", "single-entry-parts"]
+    "functions",
+    [ABOVE_A_CHUNK, SINGLE_ENTRY_PARTS, MIXED],
+    ids=["above-a-chunk", "single-entry-parts", "mixed"],
 )
 def test_parts_with_equal_pairs_share_one_merged_row(functions):
     masks = to_masks(functions)
     reliabilities = [0.3 + i / 200 for i in range(126)]
     head, last = _fold(masks[:-1]), _own_map(masks[-1])
-    inside = 0
-    for m in masks[-1]:
-        inside |= m
-    parts: dict[int, set[tuple[int, int]]] = {}
-    for a, c in head.items():
-        parts.setdefault(a & ~inside, set()).add((a & inside, c))
-    signatures = {frozenset(pairs) for pairs in parts.values()}
-    assert len(signatures) < len(parts)
+    signatures = {frozenset(pairs) for pairs in parts_of(functions).values()}
+    assert len(signatures) < len(parts_of(functions))
     expected = (_signed_sum(_fold(masks), reliabilities).hex(), len(_fold(masks)))
-    # nothing held is ever dropped, so each distinct row is merged exactly once
-    with mock.patch.object(evaluate, "_HELD_PRODUCTS", 1 << 30):
-        for built in (head, dict(reversed(head.items()))):
-            with mock.patch.object(evaluate, "_merge", wraps=evaluate._merge) as merge:
-                total, distinct = _split_sum(built, last, masks[-1], reliabilities)
-            assert merge.call_count == len(signatures)
-            assert (total.hex(), distinct) == expected
+    # each distinct row is merged exactly once, however few products are held
+    for held in (0, 1 << 30):
+        with mock.patch.object(evaluate, "_HELD_PRODUCTS", held):
+            for built in (head, dict(reversed(head.items()))):
+                with mock.patch.object(evaluate, "_merge", wraps=evaluate._merge) as merge:
+                    total, distinct = _split_sum(built, last, masks[-1], reliabilities)
+                assert merge.call_count == len(signatures)
+                assert (total.hex(), distinct) == expected
+
+
+def test_split_sum_never_holds_every_row():
+    # 2016 parts of two entries each, outers on ids 7..17, every one with its
+    # own pair of patterns inside the last function's support, ids 0..6
+    last_masks = [1 << i for i in range(7)]
+    pairs = list(itertools.islice(itertools.combinations(range(128), 2), 2016))
+    head = {}
+    for outer, pair in enumerate(pairs, 1):
+        for x, c in zip(pair, (1, -1)):
+            head[outer << 7 | x] = c
+    last = _own_map(last_masks)
+    reliabilities = [0.5 + i / 100 for i in range(18)]
+    merged = evaluate._merge(head.items(), last)
+    expected = (_signed_sum(merged, reliabilities).hex(), len(merged))
+    # the smallest row's bare table, keys and values not counted
+    rows = (evaluate._merge([(0, 1), (x, -1)], last) for x in range(1, 128))
+    row_size = min(map(sys.getsizeof, rows))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        total, distinct = _split_sum(head, last, last_masks, reliabilities)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (total.hex(), distinct) == expected
+    assert len(pairs) == 2016 and peak < len(pairs) * row_size / 2, (peak, row_size)
 
 
 def test_simplified_never_holds_the_whole_map():
