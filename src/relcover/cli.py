@@ -3,8 +3,8 @@
 Subcommands: eval, count, bench, bounds, gen, paths, search-nonmonotone.
 `count`, `gen` and `bench` name a shape as NxT (N functions of T
 implementations each, so 3x3 is 3,3,3) or as explicit sizes t1,t2,...
-(a bare T is one function), at most _MAX_FUNCTIONS functions in all;
-every printed shape uses the explicit form.
+(a bare T is one function), at most 10^6 functions in all; every printed
+shape uses the explicit form.
 Tabular output is CSV with a fixed header; --pretty renders the same rows
 as aligned text.  Exit codes: 0 success, 1 input or validation error,
 2 a cap or timeout stopped the run.

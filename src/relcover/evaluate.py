@@ -347,25 +347,26 @@ def _group_sum(
 
 
 def _buckets(head: dict[int, int], inside: int) -> dict[tuple, list[int]]:
-    """{signature: a mask with each part's outer} over `_split_sum`'s parts.
+    """{signature: one head key of each part} over `_split_sum`'s parts.
 
     Sorted by key and then by outer, a part's entries are neighbours in
-    ascending pattern order, and outers equal to a neighbour mark the
-    parts of several entries, read part by part.  Every other part's
-    signature is its one pair, so those are bucketed by two stable sorts.
+    ascending pattern order, and an outer equal to a neighbour's marks a
+    part of several entries, read part by part.  Every other part's
+    signature is its one pair, so those are bucketed by two stable sorts,
+    once the lists the first step needed are dropped.
     """
     outside = ~inside
     order = sorted(head)
     order.sort(key=outside.__and__)
-    outers, same, after = itertools.tee(map(outside.__and__, order), 3)
-    next(after, None)
-    repeated = set(itertools.compress(outers, map(operator.eq, same, after)))
-    several = list(map(repeated.__contains__, map(outside.__and__, order)))
+    outers, behind = itertools.tee(map(outside.__and__, order))
+    same = list(map(operator.eq, outers, itertools.chain([None], behind)))
+    several = list(map(operator.or_, same, same[1:] + [False]))
     buckets: dict[tuple, list[int]] = {}
     for _, part in itertools.groupby(itertools.compress(order, several), outside.__and__):
         part = list(part)
         buckets.setdefault(tuple([(a & inside, head[a]) for a in part]), []).append(part[0])
     single = sorted(itertools.compress(order, map(operator.not_, several)), key=head.get)
+    del order, same, several
     single.sort(key=inside.__and__)
     for x, alike in itertools.groupby(single, inside.__and__):
         for c, part in itertools.groupby(alike, head.__getitem__):
@@ -387,10 +388,9 @@ def _split_sum(
     depends only on its signature, its entries' (pattern a & S,
     coefficient) pairs, and `_buckets` finds few signatures.  A bucket's
     row is merged once, counted once per part, and gives the terms
-    c * P(outer | y) of all its parts in one pipeline: per chunk, a
-    `_Column` gives each part's products of the row's fields joined with
-    outer's, multiplied in `mask_product`'s order by `_multiply`.  Every
-    term goes to one `math.fsum`.
+    c * P(outer | y) of all its parts to `math.fsum` in one pipeline: per
+    chunk, a `_Column` gives each part's products of the row's fields
+    joined with outer's, multiplied in `mask_product`'s order.
     """
     inside = 0
     for m in last_masks:
