@@ -28,7 +28,7 @@ from .bounds import (
     exact_union_probability,
     nonmonotonicity_search,
 )
-from .errors import CapExceeded, EvaluationTimeout, GenerationError
+from .errors import CapExceeded, EvaluationTimeout, GenerationError, InvalidSystemError
 from .evaluate import (
     DEFAULT_TERM_CAP,
     Method,
@@ -44,6 +44,7 @@ from .system import (
     generate_random_system,
     load_system,
     save_system,
+    validate_system,
 )
 
 
@@ -284,6 +285,9 @@ def cmd_paths(args) -> int:
             )
             return 1
     derived = dataclasses.replace(spec, functions=functions)
+    report = validate_system(derived)
+    if not report.ok:
+        raise InvalidSystemError(report.violations)
     if args.out:
         save_system(derived, args.out)
     else:
@@ -406,8 +410,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         for flag in ("cap_terms", "timeout"):  # zero keeps its meaning
-            if (getattr(args, flag, None) or 0) < 0:
-                raise ValueError(f"--{flag.replace('_', '-')} must not be negative")
+            value = getattr(args, flag, None)
+            if value is not None and not value >= 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must not be negative or NaN")
         return args.func(args)
     except (GenerationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

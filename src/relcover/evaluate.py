@@ -46,10 +46,12 @@ Each product comes in `system.mask_product`'s one order: component ids in
 chunks of CHUNK_BITS, each chunk multiplied from 1.0 in ascending id order,
 the chunk products in ascending chunk order.  `_signed_sum` walks each
 mask.  Only a split last merge, whose buckets repeat the same chunk values
-many times over, takes each chunk value's product once from a
-`_ChunkProducts` table and multiplies a key's chunk products in that same
-order with `_multiply`: the floats are the same, so the split never
-changes a result.
+many times over, memoises them in `functools.lru_cache`s of at most
+_HELD_PRODUCTS products (or one row's worth): one per call maps a chunk
+value to its `mask_product`, and one per bucket and chunk maps an outer
+part's chunk value to the products of the row's keys joined with it.
+`_multiply` multiplies a key's chunk products in `mask_product`'s order,
+so the floats are the same and the split never changes a result.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 from . import combinatorics as comb_mod
@@ -89,8 +92,9 @@ MAX_LIVE_MASKS = 1 << 22
 # `_accumulate` checks its caps once per this many terms.
 _CHECK_EVERY = 1 << 13
 
-# `_split_sum` holds one bucket's row at a time, and at most this many of
-# its memoised products per chunk.
+# `_split_sum` holds one bucket's row at a time, at most this many
+# memoised chunk products, and at most this many more per chunk for the
+# bucket's row (one row's worth, if that is more).
 _HELD_PRODUCTS = 1 << 13
 
 # Subset unions over this many low counter bits come from one prefix table.
@@ -209,21 +213,18 @@ def _signed_unions(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
             yield union | high, sign * flip
 
 
-def _merge(
-    pairs: Iterable[tuple[int, int]], own: dict[int, int], distinct: int = 0
-) -> dict[int, int]:
+def _merge(pairs: Iterable[tuple[int, int]], own: dict[int, int]) -> dict[int, int]:
     """{a | b: summed ca * cb} over (a, ca) in pairs and (b, cb) in own, zeros kept.
 
     The one OR-convolution loop.  After each pair it raises CapExceeded
-    once `distinct` unions counted elsewhere plus the map's own pass
-    MAX_LIVE_MASKS.
+    once the map passes MAX_LIVE_MASKS.
     """
     merged: dict[int, int] = {}
     for a, ca in pairs:
         for b, cb in own.items():
             key = a | b
             merged[key] = merged.get(key, 0) + ca * cb
-        _check_live_masks(distinct + len(merged))
+        _check_live_masks(len(merged))
     return merged
 
 
@@ -238,41 +239,6 @@ def _fold(functions: list[list[int]]) -> dict[int, int]:
     for masks in functions[1:]:
         total = _merge(total.items(), _own_map(masks))
     return total
-
-
-class _ChunkProducts(dict):
-    """{field: mask_product(field)} for masks inside one chunk of ids, filled lazily.
-
-    `chunks` holds the CHUNK_MASK-wide bit fields below `width`, lowest
-    first.  Entries are computed on first lookup, so the table holds only
-    the field values met.
-    """
-
-    def __init__(self, reliabilities: Sequence[float], width: int) -> None:
-        super().__init__()
-        self.reliabilities = reliabilities
-        self.chunks = [CHUNK_MASK << shift for shift in range(0, width, CHUNK_BITS)]
-
-    def __missing__(self, field: int) -> float:
-        p = self[field] = mask_product(field, self.reliabilities)
-        return p
-
-
-class _Column(dict):
-    """{outer's field o: [table[o | f] for a row's key fields f]} in one chunk.
-
-    Filled lazily; an entry past _HELD_PRODUCTS products drops those held.
-    """
-
-    def __init__(self, table: _ChunkProducts, fields: list[int]) -> None:
-        super().__init__()
-        self.lookup, self.fields = table.__getitem__, fields
-
-    def __missing__(self, o: int) -> list[float]:
-        if (len(self) + 1) * len(self.fields) > _HELD_PRODUCTS:
-            self.clear()
-        products = self[o] = list(map(self.lookup, map(o.__or__, self.fields)))
-        return products
 
 
 def _multiply(factors: Sequence[Iterable[float]]) -> Iterator[float]:
@@ -341,7 +307,7 @@ def _group_sum(
     head = _fold(functions[:-1])
     last = _own_map(functions[-1])
     if len(head) * len(last) > _CHECK_EVERY:
-        return _split_sum(head, last, functions[-1], reliabilities)
+        return _split_sum(head, last, reliabilities)
     merged = _merge(head.items(), last)
     return _signed_sum(merged, reliabilities), len(merged)
 
@@ -375,42 +341,45 @@ def _buckets(head: dict[int, int], inside: int) -> dict[tuple, list[int]]:
 
 
 def _split_sum(
-    head: dict[int, int],
-    last: dict[int, int],
-    last_masks: list[int],
-    reliabilities: list[float],
+    head: dict[int, int], last: dict[int, int], reliabilities: list[float]
 ) -> tuple[float, int]:
     """`_group_sum` of a large last merge, summed one bucket of parts at a time.
 
     A key of the merge is a | b with b inside the last function's support
-    S, so the head splits into parts by outer = a & ~S, whose keys outer | y
-    (y inside S) meet no other part's.  A part's row {y: coefficient}
-    depends only on its signature, its entries' (pattern a & S,
-    coefficient) pairs, and `_buckets` finds few signatures.  A bucket's
-    row is merged once, counted once per part, and gives the terms
-    c * P(outer | y) of all its parts to `math.fsum` in one pipeline: per
-    chunk, a `_Column` gives each part's products of the row's fields
-    joined with outer's, multiplied in `mask_product`'s order.
+    S, the OR of `last`'s keys, so the head splits into parts by outer =
+    a & ~S, whose keys outer | y (y inside S) meet no other part's.  A
+    part's row {y: coefficient} depends only on its signature, its entries'
+    (pattern a & S, coefficient) pairs, and `_buckets` finds few
+    signatures.  A bucket's row is merged once, counted once per part, and
+    gives the terms c * P(outer | y) of all its parts to `math.fsum` in one
+    pipeline: per chunk, a column memo gives each part's products of the
+    row's fields joined with outer's, multiplied in `mask_product`'s order.
     """
     inside = 0
-    for m in last_masks:
-        inside |= m
-    table = _ChunkProducts(reliabilities, (max(head) | inside).bit_length())
+    for b in last:
+        inside |= b
+    width = (max(head) | inside).bit_length()
+    chunks = [CHUNK_MASK << shift for shift in range(0, width, CHUNK_BITS)]
+    product = lru_cache(_HELD_PRODUCTS)(partial(mask_product, reliabilities=reliabilities))
     distinct = 0
 
     def terms() -> Iterator[Iterable[float]]:
         nonlocal distinct
         for signature, parts in _buckets(head, inside).items():
-            row = _merge(signature, last, distinct)
+            row = _merge(signature, last)
             distinct += len(row) * len(parts)
             _check_live_masks(distinct)
             keys = [y for y, c in row.items() if c]
+            if not keys:
+                continue
             factors = []
-            for chunk in table.chunks:
-                column = _Column(table, [y & chunk for y in keys])
-                fields = map((chunk & ~inside).__and__, parts)
-                factors.append(itertools.chain.from_iterable(map(column.__getitem__, fields)))
-            # an all-zero row has no coefficient, so its factors are never read
+            for chunk in chunks:
+                fields = [y & chunk for y in keys]
+                column = lru_cache(max(1, _HELD_PRODUCTS // len(fields)))(
+                    lambda o, fields=fields: list(map(product, map(o.__or__, fields)))
+                )
+                outers = map((chunk & ~inside).__and__, parts)
+                factors.append(itertools.chain.from_iterable(map(column, outers)))
             coefficients = itertools.cycle([row[y] for y in keys])
             yield map(operator.mul, coefficients, _multiply(factors))
 

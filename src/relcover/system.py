@@ -247,10 +247,8 @@ def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
     that is the plain ascending product.  This is the one product primitive
     behind every route, so equal masks always give bit-identical products,
     and a product assembled from memoised chunk products in the same order
-    is bit-identical too: a split last merge takes them from
-    `evaluate._ChunkProducts`, through a `evaluate._Column` per chunk for
-    each bucket of alike parts, and multiplies them with `evaluate._multiply`.
-    `reliabilities` is the dense list `reliability_array(spec)`.
+    is bit-identical too.  `reliabilities` is the dense list
+    `reliability_array(spec)`.
     """
     p = 1.0
     base = 0

@@ -461,6 +461,29 @@ def test_paths_unreachable_terminal(capsys, tmp_path):
     assert "unreachable" in err
 
 
+@pytest.mark.parametrize(
+    "network, violation",
+    [
+        ({"nodes": [{"name": "a", "component": 0}], "terminals": []}, "defines no functions"),
+        ({"nodes": [{"name": "a"}], "terminals": [{"source": "a", "sink": "a"}]}, "empty"),
+    ],
+    ids=["no-terminals", "empty-implementation"],
+)
+def test_paths_refuses_an_invalid_derived_system(capsys, tmp_path, network, violation):
+    doc = {
+        "name": "derived",
+        "components": [{"id": 0, "reliability": 0.5}],
+        "functions": [[{"components": [0]}]],
+        "network": {"edges": [], **network},
+    }
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "paths", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid system: ") and err.count("\n") == 1
+    assert violation in err
+
+
 def test_paths_cap_gives_exit_2(capsys, fixtures_dir, monkeypatch):
     import relcover.network
 
@@ -583,8 +606,10 @@ def test_bench_malformed_shape(capsys):
         "eval t1.json --cap-terms -5",
         "eval t1.json --method classical --timeout -1",
         "bench --shapes 1x2 --components 8 --timeout -1",
+        "eval bench_2x2.json --method classical --timeout nan",
+        "bench --shapes 1x2 --components 8 --timeout nan",
     ],
-    ids=["eval-cap-terms", "eval-timeout", "bench-timeout"],
+    ids=["eval-cap-terms", "eval-timeout", "bench-timeout", "eval-timeout-nan", "bench-timeout-nan"],
 )
 def test_negative_cap_or_timeout_exits_1(capsys, fixtures_dir, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

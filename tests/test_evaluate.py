@@ -29,11 +29,9 @@ from relcover import (
 )
 from relcover import evaluate
 from relcover.evaluate import (
-    _ChunkProducts,
     _fold,
     _group_sum,
     _groups,
-    _multiply,
     _own_map,
     _signed_sum,
     _split_sum,
@@ -251,18 +249,18 @@ def test_memoised_products_are_bit_identical(drawn):
         assert product.hex() == chunked_product(ids, reliabilities).hex()
         if mask < 1 << CHUNK_BITS:
             assert product == math.prod(reliabilities[i] for i in sorted(ids))
-    masks = list(coefficients)
-    table = _ChunkProducts(reliabilities, max(masks).bit_length() or 1)
-    factors = [[table[m & chunk] for m in masks] for chunk in table.chunks]
-    products = list(_multiply(factors))
-    assert [p.hex() for p in products] == [
-        mask_product(m, reliabilities).hex() for m in masks
-    ]
-    # every field product the table memoised is that field's own product
-    assert table
-    for field, p in table.items():
-        assert any(field & ~chunk == 0 for chunk in table.chunks)
-        assert p.hex() == mask_product(field, reliabilities).hex()
+    # with the last map {0: 1} every head entry is a part of its own, so the
+    # split sum's terms are c * P(mask), P made of memoised chunk products;
+    # a head key is a union of implementations, never empty
+    head = {m: c for m, c in coefficients.items() if m}
+    expected = sorted((c * mask_product(m, reliabilities)).hex() for m, c in head.items() if c)
+    for held in (1, 1 << 13):
+        terms = []
+        with mock.patch.object(evaluate, "_HELD_PRODUCTS", held):
+            with mock.patch.object(math, "fsum", side_effect=lambda t: terms.extend(t) or 0.0):
+                if head:
+                    _split_sum(head, {0: 1}, reliabilities)
+        assert sorted(t.hex() for t in terms) == expected
 
 
 # Three functions of four one-component implementations on ids 0..33, and a
@@ -388,22 +386,28 @@ def test_parts_with_equal_pairs_share_one_merged_row(functions):
         with mock.patch.object(evaluate, "_HELD_PRODUCTS", held):
             for built in (head, dict(reversed(head.items()))):
                 with mock.patch.object(evaluate, "_merge", wraps=evaluate._merge) as merge:
-                    total, distinct = _split_sum(built, last, masks[-1], reliabilities)
+                    total, distinct = _split_sum(built, last, reliabilities)
                 assert merge.call_count == len(signatures)
                 assert (total.hex(), distinct) == expected
 
 
-def test_split_sum_never_holds_every_row():
-    # 2016 parts of two entries each, outers on ids 7..17, every one with its
-    # own pair of patterns inside the last function's support, ids 0..6
-    last_masks = [1 << i for i in range(7)]
-    pairs = list(itertools.islice(itertools.combinations(range(128), 2), 2016))
+def two_entry_parts():
+    """(head, last, reliabilities) of a split last merge of 99,803 unions.
+
+    2016 parts of two entries each, outers on ids 7..17, every one with its
+    own pair of patterns inside the last function's support, ids 0..6, so
+    the parts meet 19,068 distinct chunk values.
+    """
+    pairs = itertools.islice(itertools.combinations(range(128), 2), 2016)
     head = {}
     for outer, pair in enumerate(pairs, 1):
         for x, c in zip(pair, (1, -1)):
             head[outer << 7 | x] = c
-    last = _own_map(last_masks)
-    reliabilities = [0.5 + i / 100 for i in range(18)]
+    return head, _own_map([1 << i for i in range(7)]), [0.5 + i / 100 for i in range(18)]
+
+
+def test_split_sum_never_holds_every_row():
+    head, last, reliabilities = two_entry_parts()
     merged = evaluate._merge(head.items(), last)
     expected = (_signed_sum(merged, reliabilities).hex(), len(merged))
     # every row held at once would take 2016 of the smallest row's bare
@@ -414,12 +418,36 @@ def test_split_sum_never_holds_every_row():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        total, distinct = _split_sum(head, last, last_masks, reliabilities)
+        total, distinct = _split_sum(head, last, reliabilities)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert (total.hex(), distinct) == expected
     assert peak < 2016 * row_size / 2, (peak, row_size)
+
+
+def test_split_sum_holds_at_most_the_memoised_products():
+    head, last, reliabilities = two_entry_parts()
+    expected = _split_sum(head, last, reliabilities)
+    live = peak = 0
+
+    class Held(float):
+        def __del__(self):
+            nonlocal live
+            live -= 1
+
+    def held_product(field, reliabilities):
+        nonlocal live, peak
+        live += 1
+        peak = max(peak, live)
+        return Held(mask_product(field, reliabilities))
+
+    # no row has more than 128 keys, so 256 products can hold a bucket's
+    # row; one more is the product in flight as the memo takes it
+    with mock.patch.object(evaluate, "_HELD_PRODUCTS", 256):
+        with mock.patch.object(evaluate, "mask_product", held_product):
+            assert _split_sum(head, last, reliabilities) == expected
+    assert peak <= 256 + 1, peak
 
 
 def test_simplified_never_holds_the_whole_map():

@@ -60,6 +60,9 @@ def test_component_mapping_must_reference_known_edge():
 def test_dict_round_trip(fixtures_dir):
     net = load_system(fixtures_dir / "dms_two_door.json").network
     assert DoorNetwork.from_dict(net.to_dict()) == net
+    net = simple_net(["a", "b"], [("a", "b")], [("a", "b")], edge_components={("a", "b"): 0})
+    assert net.to_dict()["edges"] == [{"from": "a", "to": "b", "component": 0}]
+    assert DoorNetwork.from_dict(net.to_dict()) == net
 
 
 def test_from_dict_rejects_malformed():

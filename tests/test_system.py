@@ -115,9 +115,10 @@ def test_width_cap_is_configurable(monkeypatch):
 
 
 def test_no_functions_flagged():
-    spec = SystemSpec("x", (Component(0, 0.5),), ())
-    kinds = {v.kind for v in validate_system(spec).violations}
-    assert "no-functions" in kinds
+    for functions, kind in [((), "no-functions"), (((),), "empty-function")]:
+        spec = SystemSpec("x", (Component(0, 0.5),), functions)
+        kinds = {v.kind for v in validate_system(spec).violations}
+        assert kind in kinds
 
 
 # --- probabilities --------------------------------------------------------
@@ -138,10 +139,13 @@ def test_singleton_probability():
 
 def test_foreign_implementation_rejected(t1):
     foreign = Implementation(0, 0, frozenset({4}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match"):
         implementation_probability(t1, foreign)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match"):
         intersection_probability(t1, [foreign])
+    outside = Implementation(7, 0, frozenset({0}))
+    with pytest.raises(ValueError, match="is not part of system"):
+        implementation_probability(t1, outside)
 
 
 @pytest.mark.parametrize("ids", [(0, 5), (-1, 0)], ids=["gap", "negative"])
