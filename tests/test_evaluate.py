@@ -426,8 +426,24 @@ def test_split_sum_never_holds_every_row():
     assert peak < 2016 * row_size / 2, (peak, row_size)
 
 
-def test_split_sum_holds_at_most_the_memoised_products():
-    head, last, reliabilities = two_entry_parts()
+def one_bucket_of_many_parts():
+    """(head, last, reliabilities) of a merge of 3825 unions on ids 0..15.
+
+    The head is one function of eight one-component implementations on ids
+    8..15, so its 255 entries fall into two buckets, by coefficient, and
+    every part has its own outer; the last function has four on ids 0..3.
+    """
+    head = _own_map([1 << i for i in range(8, 16)])
+    return head, _own_map([1 << i for i in range(4)]), [0.5 + i / 100 for i in range(16)]
+
+
+@pytest.mark.parametrize(
+    "system, held",
+    [(two_entry_parts, 256), (one_bucket_of_many_parts, 64)],
+    ids=["two-entry-parts", "one-bucket-of-many-parts"],
+)
+def test_split_sum_holds_at_most_the_memoised_products(system, held):
+    head, last, reliabilities = system()
     expected = _split_sum(head, last, reliabilities)
     live = peak = 0
 
@@ -442,12 +458,14 @@ def test_split_sum_holds_at_most_the_memoised_products():
         peak = max(peak, live)
         return Held(mask_product(field, reliabilities))
 
-    # no row has more than 128 keys, so 256 products can hold a bucket's
-    # row; one more is the product in flight as the memo takes it
-    with mock.patch.object(evaluate, "_HELD_PRODUCTS", 256):
+    with mock.patch.object(evaluate, "_HELD_PRODUCTS", held):
         with mock.patch.object(evaluate, "mask_product", held_product):
             assert _split_sum(head, last, reliabilities) == expected
-    assert peak <= 256 + 1, peak
+    # the chunk-product memo holds at most `held` products and each chunk's
+    # column memo at most `held` more, as no row has more keys than that;
+    # one more is the product in flight as the memo takes it
+    chunks = -(-(max(head) | max(last)).bit_length() // CHUNK_BITS)
+    assert peak <= (1 + chunks) * held + 1, peak
 
 
 def test_simplified_never_holds_the_whole_map():
