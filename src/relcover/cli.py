@@ -278,12 +278,10 @@ def cmd_paths(args) -> int:
     for i, function in enumerate(functions):
         if not function:
             src, sink = spec.network.terminals[i]
-            print(
-                f"warning: terminal pair {i} ({src} -> {sink}) is unreachable; "
-                "a function with no implementations is not a valid system",
-                file=sys.stderr,
+            raise ValueError(
+                f"terminal pair {i} ({src} -> {sink}) is unreachable; "
+                "a function with no implementations is not a valid system"
             )
-            return 1
     derived = dataclasses.replace(spec, functions=functions)
     report = validate_system(derived)
     if not report.ok:

@@ -15,12 +15,13 @@ covering-selection sign (-1)^(k - n) is the product of the per-function
 signs (-1)^(|S_i| - 1), so every signed term comes from `_signed_unions`:
 the simplified route folds one signed union map per function by
 OR-convolution, `term_stream` yields its picks one by one, and the
-classical route takes the subsets of W.  A function's own map is built
-straight from the prefix table while it has fewer subsets than
-`_accumulate` takes between checks, and by `_accumulate` past that; every
-other map is built by `_accumulate`, which stops past MAX_LIVE_MASKS masks
-or a deadline, except the fold's merges, which `_merge`, the one
-OR-convolution loop, makes under the same cap.
+classical route takes the subsets of W.  `_signed_unions` yields one
+prefix table of _TABLE_BITS masks, then that block joined with its own
+enumeration of the remaining masks.  A function's own map that fits in
+one block is built straight from the table, a larger one by
+`_accumulate`; every other map is built by `_accumulate`, which stops
+past MAX_LIVE_MASKS masks or a deadline, except the fold's merges, which
+`_merge`, the one OR-convolution loop, makes under the same cap.
 
 Functions whose supports (the components of all their implementations)
 are linked, directly or through other functions, form one group; groups
@@ -178,11 +179,13 @@ def _prefix_table(masks: Sequence[int]) -> list[tuple[int, int]]:
 def _own_map(masks: Sequence[int]) -> dict[int, int]:
     """{union: summed sign} over the non-empty subsets of one function's masks.
 
-    A function with fewer subsets than `_accumulate` takes between checks is
-    built straight from the prefix table, where no periodic check could
-    fire; both ways check the finished map against MAX_LIVE_MASKS.
+    A function that fits in one table block is built straight from
+    `_prefix_table`, under 2^_TABLE_BITS entries and no deadline, so no
+    periodic check could fire; a larger one is accumulated from
+    `_signed_unions` by `_accumulate`.  Both check the finished map
+    against MAX_LIVE_MASKS.
     """
-    if 1 << len(masks) > _CHECK_EVERY:
+    if len(masks) > _TABLE_BITS:
         return _accumulate(_signed_unions(masks))
     out: dict[int, int] = {}
     for union, sign in _prefix_table(masks)[1:]:
@@ -195,22 +198,17 @@ def _signed_unions(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
     """(union of S, (-1)^(|S| - 1)) for every non-empty subset S of masks.
 
     Subsets come in ascending binary-counter order, bit j standing for
-    masks[j].  The low bits of the counter come from a prefix table built
-    once; the high bits are OR-ed in once per outer step, so one path serves
-    any width.
+    masks[j].  The first block is the prefix table of the first _TABLE_BITS
+    masks.  Each later block is that table, the empty subset first, joined
+    with one (union, sign) of this same enumeration of the remaining masks,
+    so the counter stays ascending and each level holds one table.
     """
-    low = _prefix_table(masks[:_TABLE_BITS])
-    yield from low[1:]
-    high_masks = masks[_TABLE_BITS:]
-    for hi in range(1, 1 << len(high_masks)):
-        high, rest = 0, hi
-        while rest:
-            bit = rest & -rest
-            high |= high_masks[bit.bit_length() - 1]
-            rest ^= bit
-        flip = -1 if hi.bit_count() & 1 else 1
-        for union, sign in low:
-            yield union | high, sign * flip
+    table = _prefix_table(masks[:_TABLE_BITS])
+    yield from table[1:]
+    if len(masks) > _TABLE_BITS:
+        for high, flip in _signed_unions(masks[_TABLE_BITS:]):
+            for union, sign in table:
+                yield union | high, -sign * flip
 
 
 def _merge(pairs: Iterable[tuple[int, int]], own: dict[int, int]) -> dict[int, int]:

@@ -370,11 +370,9 @@ def generate_random_system(
                     reuse = False
             if reuse:
                 pick = candidates[rng.randrange(len(candidates))]
-            elif pool:
+            else:  # an empty pool leaves a candidate, as size <= components
                 pick = pool.pop(0)
                 used.append(pick)
-            else:
-                break  # every component already inside `chosen`
             chosen.add(pick)
         return frozenset(chosen)
 

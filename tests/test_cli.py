@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from relcover import FamilyShape, count_terms_simplified, load_system, validate_system
-from relcover.cli import _parse_shape, main
+from relcover.cli import _parse_shape, entrypoint, main
 
 
 def run(capsys, *argv):
@@ -21,6 +21,15 @@ def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, data = rows[0], rows[1:]
     return [dict(zip(header, row)) for row in data]
+
+
+def parse_pretty(text):
+    """Rows of --pretty output: one "key: value" line per field, a blank line after each row."""
+    rows = []
+    for block in text.split("\n\n")[:-1]:
+        fields = (line.partition(": ") for line in block.splitlines())
+        rows.append({key.strip(): value for key, _, value in fields})
+    return rows
 
 
 # --- eval -------------------------------------------------------------------
@@ -123,6 +132,14 @@ def test_eval_deeply_nested_json_exits_1(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:") and "nested too deeply" in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_eval_top_level_list_exits_1(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    code, out, err = run(capsys, "eval", path)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: expected a JSON object at top level\n"
 
 
 @pytest.mark.parametrize(
@@ -456,9 +473,10 @@ def test_paths_unreachable_terminal(capsys, tmp_path):
     }
     path = tmp_path / "unreachable.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "paths", path)
-    assert code == 1
-    assert "unreachable" in err
+    code, out, err = run(capsys, "paths", path)
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "unreachable" in line
 
 
 @pytest.mark.parametrize(
@@ -576,6 +594,23 @@ def test_bench_stdout_without_out(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "bench_instances").is_dir()
 
 
+def test_bench_pretty_with_and_without_out(capsys, tmp_path, monkeypatch):
+    # the instances default to ./bench_instances
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--shapes", "1x2", "--components", "8", "--timeout", "10", "--pretty"]
+    code, out, err = run(capsys, *argv, "--out", "bench.csv")
+    assert (code, err) == (0, "wrote bench.csv and instances under bench_instances\n")
+    rows = parse_csv((tmp_path / "bench.csv").read_text())
+    assert parse_pretty(out) == rows
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    (row,) = parse_pretty(out)
+    assert {k: v for k, v in row.items() if not k.endswith("_seconds")} == {
+        k: v for k, v in rows[0].items() if not k.endswith("_seconds")
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.csv", "bench_instances"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -681,3 +716,11 @@ def test_unknown_command_exits_1(capsys):
 def test_no_command_exits_1(capsys):
     code, _, err = run(capsys)
     assert code == 1
+
+
+def test_entrypoint_exits_with_the_command_code(capsys, monkeypatch, fixtures_dir):
+    for argv, code in ((["eval", str(fixtures_dir / "t1.json")], 0), (["frobnicate"], 1)):
+        monkeypatch.setattr(sys, "argv", ["relcover", *argv])
+        with pytest.raises(SystemExit) as exited:
+            entrypoint()
+        assert exited.value.code == code

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 import tracemalloc
 from collections import Counter
@@ -29,11 +30,13 @@ from relcover import (
 )
 from relcover import evaluate
 from relcover.evaluate import (
+    _accumulate,
     _fold,
     _group_sum,
     _groups,
     _own_map,
     _signed_sum,
+    _signed_unions,
     _split_sum,
 )
 from relcover.system import CHUNK_BITS, mask_product, reliability_array
@@ -489,6 +492,43 @@ def test_reliability_stays_in_unit_interval():
     spec = generate_random_system(FamilyShape((3, 3)), 10, 0.8, seed=3)
     r = reliability_simplified(spec).reliability
     assert 0.0 <= r <= 1.0
+
+
+# --- subset enumeration -----------------------------------------------------
+
+
+def counted_subsets(masks):
+    """(union, (-1)^(|S| - 1)) per non-empty S, by an ascending counter, bit j for masks[j]."""
+    for counter in range(1, 1 << len(masks)):
+        union = 0
+        for j, m in enumerate(masks):
+            if counter >> j & 1:
+                union |= m
+        yield union, (-1) ** (counter.bit_count() - 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 18])
+def test_signed_unions_count_through_every_subset(n):
+    # masks past the first table block recurse; the last one repeats the first
+    rng = random.Random(n)
+    masks = [rng.getrandbits(40) for _ in range(n)]
+    if n > 1:
+        masks[-1] = masks[0]
+    assert list(_signed_unions(masks)) == list(counted_subsets(masks))
+
+
+def test_one_block_own_map_is_the_accumulated_enumeration(monkeypatch):
+    # 16 implementations of three of 20 components: unions repeat and cancel
+    rng = random.Random(16)
+    masks = [sum(1 << c for c in rng.sample(range(20), 3)) for _ in range(16)]
+    expected = _accumulate(_signed_unions(masks))
+    assert 0 in expected.values()
+    assert list(_own_map(masks).items()) == list(expected.items())
+    monkeypatch.setattr(evaluate, "MAX_LIVE_MASKS", len(expected) - 1)
+    with pytest.raises(CapExceeded):
+        _own_map(masks)
+    monkeypatch.setattr(evaluate, "MAX_LIVE_MASKS", len(expected))
+    assert _own_map(masks) == expected
 
 
 # --- guard rails ------------------------------------------------------------

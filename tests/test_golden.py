@@ -3,13 +3,21 @@
 A change to any engine layer (fold, merge, products, summation) that keeps
 these hex strings keeps the results bit for bit.  The values were recorded
 from the engine that merged every head entry of a group's last fold step on
-its own, before that merge was shared per inner pattern.
+its own, before that merge was shared per inner pattern.  The generated
+and split systems, and random ones whose last merge is split, are also
+checked against `perfbench/oracle.py`, an exact rational evaluation by
+pivoting on components that shares no code with the engine.
 """
 
 import dataclasses
+import importlib.util
 import random
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from relcover import (
     Component,
@@ -25,7 +33,12 @@ from relcover import (
 )
 from relcover import evaluate
 from relcover.evaluate import _fold, _groups, _own_map
-from relcover.system import CHUNK_BITS, CHUNK_MASK
+from relcover.system import CHUNK_BITS, CHUNK_MASK, reliability_array
+
+_ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+_loader = importlib.util.spec_from_file_location("perfbench_oracle", _ORACLE_PATH)
+oracle = importlib.util.module_from_spec(_loader)
+_loader.loader.exec_module(oracle)
 
 # fixture: (simplified value, distinct unions, classical value or None past |W| = 20)
 FIXTURES = {
@@ -186,3 +199,33 @@ def test_large_own_map_values_are_pinned():
         93_183,
     )
     assert exact_union_probability(spec).hex() == "0x1.fdd53ad19c45bp-1"
+
+
+def assert_near_the_oracle(spec, reliability):
+    masks = [[impl.mask for impl in f] for f in spec.functions]
+    error = Fraction(reliability) - oracle.exact_reliability(masks, reliability_array(spec))
+    assert abs(error) <= 1e-15, float(error)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec, *_ in GENERATED + SPLIT],
+    ids=["ids-0-23", "ids-past-48", "two-chunks", "multi-entry-parts"],
+)
+def test_pinned_systems_match_the_oracle(spec):
+    assert_near_the_oracle(spec, reliability_simplified(spec).reliability)
+
+
+# only draws whose last merge is split count; about three in four reach it
+@settings(max_examples=25)
+@given(
+    z=st.integers(30, 128),
+    sharing=st.sampled_from([0.3, 0.5, 0.7]),
+    seed=st.integers(0, 10**6),
+)
+def test_split_sum_matches_the_oracle(z, sharing, seed):
+    spec = generate_random_system(FamilyShape((4,) * 5), z, sharing, seed)
+    with mock.patch.object(evaluate, "_split_sum", wraps=evaluate._split_sum) as split:
+        reliability = reliability_simplified(spec).reliability
+    assume(split.called)
+    assert_near_the_oracle(spec, reliability)

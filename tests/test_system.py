@@ -248,6 +248,12 @@ def test_generator_infeasible_distinctness_raises():
         generate_random_system(FamilyShape((5,)), 1, 0.5, seed=0)
 
 
+def test_generator_gives_up_after_retries():
+    # full sharing reuses component 0 for every set after the first
+    with pytest.raises(GenerationError, match="could not draw 2 distinct sets after retries"):
+        generate_random_system(FamilyShape((2,)), 4, 1.0, seed=0, max_impl_size=1)
+
+
 def test_generator_needs_enough_components():
     with pytest.raises(ValueError):
         generate_random_system(FamilyShape((1, 1, 1)), 2, 0.5, seed=0)
