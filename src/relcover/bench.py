@@ -101,22 +101,24 @@ def run_bench(
     return rows
 
 
+def row_cells(r: BenchRow, terms_new: str, terms_old: str) -> list[str]:
+    """One row's CSV cells, the two term counts given as printed."""
+    return [
+        r.shape,
+        str(r.components),
+        terms_new,
+        terms_old,
+        f"{r.t_new_seconds:.6f}",
+        "timeout" if r.t_old_seconds is None else f"{r.t_old_seconds:.6f}",
+        f"{r.reliability_new:.15g}",
+        "" if r.reliability_old is None else f"{r.reliability_old:.15g}",
+        r.instance,
+    ]
+
+
 def rows_to_csv(rows: Sequence[BenchRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                r.shape,
-                r.components,
-                r.terms_new,
-                r.terms_old,
-                f"{r.t_new_seconds:.6f}",
-                "timeout" if r.t_old_seconds is None else f"{r.t_old_seconds:.6f}",
-                f"{r.reliability_new:.15g}",
-                "" if r.reliability_old is None else f"{r.reliability_old:.15g}",
-                r.instance,
-            ]
-        )
+    writer.writerows(row_cells(r, str(r.terms_new), str(r.terms_old)) for r in rows)
     return buf.getvalue()

@@ -1,27 +1,28 @@
 """Command line front end.
 
 Subcommands: eval, count, bench, bounds, gen, paths, search-nonmonotone.
-`count`, `gen` and `bench` name a shape as NxT (N functions of T
-implementations each, so 3x3 is 3,3,3) or as explicit sizes t1,t2,...
-(a bare T is one function), at most 10^6 functions in all; every printed
-shape uses the explicit form.
-Tabular output is CSV with a fixed header; --pretty renders the same rows
-as aligned text.  Exit codes: 0 success, 1 input or validation error,
-2 a cap or timeout stopped the run.
+`count` and `bench` take one or more shapes, `gen` one.  A shape is NxT
+(N functions of T implementations each, so 3x3 is 3,3,3) or explicit
+sizes t1,t2,... (a bare T is one function); a command's shapes name at
+most 10^6 functions in all.  Every printed shape uses the explicit form,
+and `count` and `bench` print term counts the same way, past 4096 bits as
+powers.  Tabular output is CSV with a fixed header; --pretty renders the
+same rows as aligned text.  Exit codes: 0 success, 1 input or validation
+error, 2 a cap or timeout stopped the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
 import sys
-from collections import Counter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .bench import rows_to_csv, run_bench
+from .bench import CSV_HEADER, row_cells, run_bench
 from .bounds import (
     SearchConfig,
     bound_summary,
@@ -36,7 +37,7 @@ from .evaluate import (
     reliability_monte_carlo,
     reliability_simplified,
 )
-from .combinatorics import count_terms_classical, count_terms_simplified
+from .combinatorics import format_term_counts
 from .system import (
     FamilyShape,
     door_functions,
@@ -57,30 +58,39 @@ class _Parser(argparse.ArgumentParser):
 _SHAPE_HELP = "NxT (N functions of T implementations each) or t1,t2,... e.g. 3x3, 2,3"
 
 
-# A shape names at most this many functions.  Every command holds one size
-# per function, and `count` prints every size: two characters a function.
+# A command's shapes name at most this many functions in all.  Every
+# command holds one size per function, and `count` prints every size: two
+# characters a function.
 _MAX_FUNCTIONS = 1_000_000
 
 
-def _parse_shape(token: str) -> tuple[int, ...]:
+def _parse_shapes(tokens: Sequence[str]) -> list[tuple[int, ...]]:
     # "3x3" reads as 3 functions with 3 implementations each;
     # "2,3,2" reads as explicit per-function sizes, "3" as one function.
-    # An NxT token is checked before its N sizes are built.
-    try:
-        if "x" in token:
-            n, t = token.split("x")
-            copies, sizes = int(n), (int(t),)
-        else:
-            copies, sizes = 1, tuple(int(tok) for tok in token.split(","))
-    except ValueError:
-        copies, sizes = 1, ()
-    if copies < 1 or not sizes or any(t < 1 for t in sizes):
-        raise ValueError(f"malformed shape {token!r}")
-    if copies * len(sizes) > _MAX_FUNCTIONS:
-        raise ValueError(
-            f"shape {token!r} has {copies * len(sizes)} functions, more than {_MAX_FUNCTIONS}"
-        )
-    return sizes * copies
+    # The whole list is checked before the N sizes of any NxT token are built.
+    parsed = []
+    for token in tokens:
+        try:
+            if "x" in token:
+                n, t = token.split("x")
+                copies, sizes = int(n), (int(t),)
+            else:
+                copies, sizes = 1, tuple(int(tok) for tok in token.split(","))
+        except ValueError:
+            copies, sizes = 1, ()
+        if copies < 1 or not sizes or any(t < 1 for t in sizes):
+            raise ValueError(f"malformed shape {token!r}")
+        parsed.append((copies, sizes))
+    total = sum(copies * len(sizes) for copies, sizes in parsed)
+    if total > _MAX_FUNCTIONS:
+        named = f"shape {tokens[0]!r} has" if len(tokens) == 1 else f"{len(tokens)} shapes have"
+        raise ValueError(f"{named} {total} functions, more than {_MAX_FUNCTIONS}")
+    return [sizes * copies for copies, sizes in parsed]
+
+
+def _parse_shape(token: str) -> tuple[int, ...]:
+    (sizes,) = _parse_shapes([token])
+    return sizes
 
 
 def _shape_label(sizes: Sequence[int]) -> str:
@@ -151,72 +161,40 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# `count` prints a term count in full only while it has at most this many
-# bits: 2^|W| - 1 has |W|, prod (2^{t_i} - 1) fewer than sum t_i.  Past it
-# the integer alone would run to thousands of digits, and to gigabytes
-# before that, so the count is printed as a power or a product of powers;
-# so is |W| itself past this many bits.
-_EXACT_COUNT_MAX_BITS = 4096
-
-
-def _power_form(sizes: Iterable[int], factor: str) -> str:
-    # prod factor(t) with equal factors gathered, e.g. (2^1000-1)^20 or 3^10000
-    return "*".join(
-        f"{factor.format(t)}^{k}" if k > 1 else factor.format(t)
-        for t, k in sorted(Counter(sizes).items())
-    )
-
-
-def _classical_count(shape: FamilyShape) -> str:
-    # 2^|W| - 1 in full up to |W| = 4096, then with |W| in full while it has
-    # at most 4096 bits, then with |W| as a product of powers of the sizes
-    w = shape.product_size
-    if w <= _EXACT_COUNT_MAX_BITS:
-        return str(count_terms_classical(shape))
-    if w.bit_length() <= _EXACT_COUNT_MAX_BITS:
-        return f"2^{w}-1"
-    return f"2^({_power_form((t for t in shape.sizes if t > 1), '{}')})-1"
-
-
 def cmd_count(args) -> int:
-    shape = FamilyShape(_parse_shape(args.shape))
     header = ("functions", "shape", "terms_classical", "terms_simplified")
-    row = (
-        str(shape.n),
-        _shape_label(shape.sizes),
-        _classical_count(shape),
-        str(count_terms_simplified(shape))
-        if shape.m <= _EXACT_COUNT_MAX_BITS
-        else _power_form(shape.sizes, "(2^{}-1)"),
-    )
-    _emit_table(header, [row], args.pretty)
+    rows = []
+    for sizes in _parse_shapes(args.shapes):
+        shape = FamilyShape(sizes)
+        rows.append((str(shape.n), _shape_label(sizes), *format_term_counts(shape)))
+    _emit_table(header, rows, args.pretty)
     return 0
 
 
 def cmd_bench(args) -> int:
-    shapes = [(token, _parse_shape(token)) for token in args.shapes]
+    shapes = _parse_shapes(args.shapes)
     if args.out:
         instance_dir = Path(args.out).with_suffix("").as_posix() + "_instances"
     else:
         instance_dir = "bench_instances"
     rows = run_bench(
-        shapes,
+        list(zip(args.shapes, shapes)),
         components=args.components,
         sharing=args.sharing,
         seed=args.seed,
         timeout=args.timeout,
         instance_dir=instance_dir,
     )
-    text = rows_to_csv(rows)
+    table = []
+    for row, sizes in zip(rows, shapes):
+        terms_old, terms_new = format_term_counts(FamilyShape(sizes))
+        table.append(row_cells(row, terms_new, terms_old))
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as out, contextlib.redirect_stdout(out):
+            _emit_table(CSV_HEADER, table, pretty=False)
         print(f"wrote {args.out} and instances under {instance_dir}", file=sys.stderr)
-    if args.pretty:
-        reader = csv.reader(io.StringIO(text))
-        table = list(reader)
-        _emit_table(table[0], table[1:], pretty=True)
-    elif not args.out:
-        sys.stdout.write(text)
+    if args.pretty or not args.out:
+        _emit_table(CSV_HEADER, table, args.pretty)
     return 0
 
 
@@ -352,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_pretty_flag(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("count", help="term-count predictors for a shape")
-    p.add_argument("shape", help=_SHAPE_HELP)
+    p = sub.add_parser("count", help="term-count predictors per shape")
+    p.add_argument("shapes", nargs="+", help=_SHAPE_HELP)
     add_pretty_flag(p)
     p.set_defaults(func=cmd_count)
 

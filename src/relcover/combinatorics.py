@@ -7,7 +7,8 @@ sets of k distinct implementations, n <= k <= m, that hit every function at
 least once.  Their total count is prod (2^{t_i} - 1), exponentially smaller.
 
 All counters use exact integers; the interesting values overflow any fixed
-width long before the evaluators give up.  `coefficient_count` computes the
+width long before the evaluators give up, and `format_term_counts` writes
+the two route counts as text without building an integer past 4096 bits.  `coefficient_count` computes the
 coverage coefficient c(A, t): how many t-subsets of D = A_1 x ... x A_n
 cover the disjoint family A, via an alternating binomial sum, and
 `coefficient_count_bruteforce` recounts the same quantity by exhaustive
@@ -20,6 +21,7 @@ D = W, and an element of A is a (function_index, impl_index) pair.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -28,6 +30,13 @@ from .system import FamilyShape
 
 # coefficient_count_bruteforce refuses product spaces larger than this.
 DEFAULT_BRUTEFORCE_CAP = 22
+
+# format_term_counts writes a term count in full only while it has at most
+# this many bits: 2^|W| - 1 has |W|, prod (2^{t_i} - 1) fewer than sum t_i.
+# Past it the integer alone would run to thousands of digits, and to
+# gigabytes before that, so the count is written as a power or a product of
+# powers; so is |W| itself past this many bits.
+_EXACT_COUNT_MAX_BITS = 4096
 
 Pair = tuple[int, int]
 
@@ -106,6 +115,36 @@ def count_terms_simplified(shape: FamilyShape) -> int:
     for t in shape.sizes:
         out *= (1 << t) - 1
     return out
+
+
+def _power_form(sizes: Iterable[int], factor: str) -> str:
+    # prod factor(t) with equal factors gathered, e.g. (2^1000-1)^20 or 3^10000
+    return "*".join(
+        f"{factor.format(t)}^{k}" if k > 1 else factor.format(t)
+        for t, k in sorted(Counter(sizes).items())
+    )
+
+
+def format_term_counts(shape: FamilyShape) -> tuple[str, str]:
+    """The classical and simplified term counts as printable text.
+
+    2^|W| - 1 is written in full up to |W| = 4096, then as 2^|W|-1 while |W|
+    has at most 4096 bits, then with |W| as a product of powers of the
+    sizes; prod (2^{t_i} - 1) is written in full while sum t_i is at most
+    4096, then as a product of powers.  No integer past 4096 bits is built.
+    """
+    w = shape.product_size
+    if w <= _EXACT_COUNT_MAX_BITS:
+        classical = str(count_terms_classical(shape))
+    elif w.bit_length() <= _EXACT_COUNT_MAX_BITS:
+        classical = f"2^{w}-1"
+    else:
+        classical = f"2^({_power_form((t for t in shape.sizes if t > 1), '{}')})-1"
+    if shape.m <= _EXACT_COUNT_MAX_BITS:
+        simplified = str(count_terms_simplified(shape))
+    else:
+        simplified = _power_form(shape.sizes, "(2^{}-1)")
+    return classical, simplified
 
 
 def _universe(shape: FamilyShape) -> tuple[Pair, ...]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GenerationError
+from .errors import GenerationError, InvalidSystemError
 from .network import DoorNetwork, integer_field, minimal_paths
 
 # Dense component identifier, 0..z-1.
@@ -157,7 +157,7 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
         bad.append(
             Violation(
                 "component-ids",
-                f"component ids must be exactly 0..{len(ids) - 1}, got {sorted(ids)}",
+                f"component ids must be exactly 0..{len(ids) - 1}, but are {sorted(ids)}",
             )
         )
     if len(ids) > MAX_COMPONENTS:
@@ -265,18 +265,10 @@ def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
     return p
 
 
-def _checked_reliabilities(spec: SystemSpec) -> list[float]:
-    ids = sorted(c.id for c in spec.components)
-    if ids != list(range(len(ids))):
-        dense = f"0..{len(ids) - 1}"
-        raise ValueError(f"component ids of system {spec.name!r} are {ids}, not {dense}")
-    return reliability_array(spec)
-
-
 def implementation_probability(spec: SystemSpec, impl: Implementation) -> float:
     """P(implementation works) = prod of a_c over its component set.
 
-    Raises ValueError unless the spec's component ids are exactly 0..z-1.
+    Raises InvalidSystemError (a ValueError) unless the spec is valid.
     """
     return intersection_probability(spec, [impl])
 
@@ -287,15 +279,19 @@ def intersection_probability(spec: SystemSpec, impls: Sequence[Implementation]) 
     Shared components are counted once: the probability is the product of
     a_c over the union of the component sets, which is what makes the
     event algebra of these systems collapse so aggressively.  Raises
-    ValueError unless the spec's component ids are exactly 0..z-1.
+    InvalidSystemError (a ValueError) unless the spec passes
+    `validate_system`, which is checked before any mask is built.
     """
     if not impls:
         raise ValueError("intersection over an empty implementation list")
+    report = validate_system(spec)
+    if not report.ok:
+        raise InvalidSystemError(report.violations)
     union = 0
     for impl in impls:
         _require_member(spec, impl)
         union |= impl.mask
-    return mask_product(union, _checked_reliabilities(spec))
+    return mask_product(union, reliability_array(spec))
 
 
 def door_functions(net: DoorNetwork) -> tuple[tuple[Implementation, ...], ...]:

@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from relcover import FamilyShape, count_terms_simplified, load_system, validate_system
+from relcover import (
+    FamilyShape,
+    count_terms_classical,
+    count_terms_simplified,
+    load_system,
+    validate_system,
+)
 from relcover.cli import _parse_shape, entrypoint, main
 
 
@@ -254,6 +260,20 @@ def test_count_exact_integers(capsys):
     assert row["shape"] == "3,3,3"
 
 
+def test_count_takes_several_shapes(capsys):
+    # the classical and simplified counts of the uniform shapes 2..5 x 2..4
+    shapes = [f"{n}x{t}" for n in (2, 3, 4, 5) for t in (2, 3, 4)]
+    code, out, err = run(capsys, "count", *shapes)
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert len(rows) == 12
+    for token, row in zip(shapes, rows):
+        shape = FamilyShape(_parse_shape(token))
+        assert row["shape"] == ",".join(map(str, shape.sizes))
+        assert int(row["terms_classical"]) == count_terms_classical(shape)
+        assert int(row["terms_simplified"]) == count_terms_simplified(shape)
+
+
 def test_count_huge_shape_is_instant(capsys):
     code, out, _ = run(capsys, "count", "5x3")
     assert code == 0
@@ -331,6 +351,20 @@ def test_count_refuses_more_functions_than_the_cap(capsys):
     header, row = out.splitlines()
     label = ",".join(["3"] * 1_000_000)
     assert row == f'1000000,"{label}",2^(3^1000000)-1,(2^3-1)^1000000'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "600000x3", "600000x3"], ["bench", "--shapes", "600000x3", "600000x3"]],
+    ids=["count", "bench"],
+)
+def test_function_cap_counts_the_whole_shape_list(capsys, tmp_path, monkeypatch, argv):
+    # each shape is under the cap, the two together are not
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: 2 shapes have 1200000 functions, more than 1000000\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_count_malformed_sizes(capsys):
@@ -609,6 +643,23 @@ def test_bench_pretty_with_and_without_out(capsys, tmp_path, monkeypatch):
         k: v for k, v in rows[0].items() if not k.endswith("_seconds")
     }
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.csv", "bench_instances"]
+
+
+def test_bench_prints_huge_counts_as_count_does(capsys, tmp_path, monkeypatch):
+    # 2^19683 - 1 has 5,925 digits, past the integer-string limit
+    monkeypatch.chdir(tmp_path)
+    argv = ["--components", "128", "--sharing", "0", "--timeout", "0.2", "--pretty"]
+    code, out, err = run(capsys, "bench", "--shapes", "9x3", *argv, "--out", "bench.csv")
+    assert (code, err) == (0, "wrote bench.csv and instances under bench_instances\n")
+    (row,) = parse_csv((tmp_path / "bench.csv").read_text())
+    assert parse_pretty(out) == [row]
+    assert (row["terms_new"], row["terms_old"]) == ("40353607", "2^19683-1")
+    code, out, _ = run(capsys, "count", "9x3")
+    (count_row,) = parse_csv(out)
+    assert (count_row["terms_simplified"], count_row["terms_classical"]) == (
+        row["terms_new"],
+        row["terms_old"],
+    )
 
 
 @pytest.mark.parametrize(

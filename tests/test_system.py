@@ -11,6 +11,7 @@ from relcover import (
     FamilyShape,
     GenerationError,
     Implementation,
+    InvalidSystemError,
     SystemSpec,
     dumps_system,
     generate_random_system,
@@ -155,6 +156,19 @@ def test_sparse_component_ids_rejected(ids):
     with pytest.raises(ValueError, match=rf"component ids .* are \[{ids[0]}, {ids[1]}\]"):
         implementation_probability(spec, impl)
     with pytest.raises(ValueError, match="component ids"):
+        intersection_probability(spec, [impl])
+
+
+@pytest.mark.parametrize("component", [7, 10**7, -1], ids=["past-end", "huge", "negative"])
+def test_component_outside_the_spec_rejected(component):
+    # the spec is checked before any mask is built: no IndexError, no
+    # 10^7-bit mask, no negative shift
+    impl = Implementation(0, 0, frozenset({component}))
+    spec = SystemSpec("outside", tuple(Component(i, 0.5) for i in range(3)), ((impl,),))
+    message = rf"missing components \[{component}\]"
+    with pytest.raises(InvalidSystemError, match=message):
+        implementation_probability(spec, impl)
+    with pytest.raises(InvalidSystemError, match=message):
         intersection_probability(spec, [impl])
 
 
