@@ -15,7 +15,9 @@ the product of a_c over the union mask, each shared component counted once.
 from __future__ import annotations
 
 import json
+import locale
 import math
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -153,7 +155,8 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     bad: list[Violation] = []
 
     ids = [c.id for c in spec.components]
-    if sorted(ids) != list(range(len(ids))):
+    dense = list(range(len(ids)))
+    if ids != dense and sorted(ids) != dense:
         bad.append(
             Violation(
                 "component-ids",
@@ -199,13 +202,12 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
                         f"implementation ({i}, {j}) has an empty component set",
                     )
                 )
-            unknown = impl.components - known
-            if unknown:
+            if not impl.components <= known:
                 bad.append(
                     Violation(
                         "unknown-component",
                         f"implementation ({i}, {j}) references missing components "
-                        f"{sorted(unknown)}",
+                        f"{sorted(impl.components - known)}",
                     )
                 )
             if impl.components in seen_sets:
@@ -254,12 +256,13 @@ def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
     base = 0
     while mask:
         chunk = mask & CHUNK_MASK
-        q = 1.0
-        while chunk:
-            low = chunk & -chunk
-            q *= reliabilities[base + low.bit_length() - 1]
-            chunk ^= low
-        p *= q
+        if chunk:  # an empty chunk's product, 1.0, would change no bit
+            q = 1.0
+            while chunk:
+                low = chunk & -chunk
+                q *= reliabilities[base + low.bit_length() - 1]
+                chunk ^= low
+            p *= q
         mask >>= CHUNK_BITS
         base += CHUNK_BITS
     return p
@@ -441,43 +444,64 @@ def system_to_dict(spec: SystemSpec) -> dict:
     return doc
 
 
+def _number(value: object, what: str) -> float:
+    """A JSON number as a float; float() would also read a string or a bool."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values: list, what: str) -> list:
+    # one pass over the types; the per-entry checks only find the fault
+    if _FLOAT.issuperset(map(type, values)):
+        return values
+    return [_number(v, what) for v in values]
+
+
+def _integers(values: list, what: str) -> list:
+    if _INT.issuperset(map(type, values)):
+        return values
+    return [integer_field(v, what) for v in values]
+
+
+_FLOAT = frozenset([float])
+_INT = frozenset([int])
+
+
 def system_from_dict(doc: dict) -> SystemSpec:
+    """The spec a JSON document describes; ValueError names a malformed field.
+
+    Ids must be integers or integral floats, never bools; reliabilities and
+    claims must be numbers, never strings or bools.  A document with several
+    faults reports one of them.
+    """
     try:
-        components = []
-        for c in doc["components"]:
-            # float() would also read a JSON string or bool; only numbers pass
-            if isinstance(reliability := c["reliability"], (str, bool)):
-                raise ValueError(f"reliability must be a number, got {reliability!r}")
-            components.append(
-                Component(integer_field(c["id"], "component id"), float(reliability))
-            )
+        entries = doc["components"]
+        reliabilities = [c["reliability"] for c in entries]
+        ids = _integers([c["id"] for c in entries], "component id")
+        reliabilities = _numbers(reliabilities, "reliability")
+        components = tuple([Component(c, a) for c, a in zip(ids, reliabilities)])
         functions = tuple(
             tuple(
-                Implementation(
-                    i,
-                    j,
-                    frozenset(
-                        integer_field(c, "implementation component")
-                        for c in entry["components"]
-                    ),
-                    label=str(entry.get("label", "")),
-                )
-                for j, entry in enumerate(function)
+                [
+                    Implementation(
+                        i,
+                        j,
+                        frozenset(_integers(entry["components"], "implementation component")),
+                        str(entry.get("label", "")),
+                    )
+                    for j, entry in enumerate(function)
+                ]
             )
             for i, function in enumerate(doc["functions"])
         )
         network = DoorNetwork.from_dict(doc["network"]) if "network" in doc else None
-        claimed = {}
-        for key in _CLAIM_KEYS:
-            if key in doc:
-                if isinstance(value := doc[key], (str, bool)):
-                    raise ValueError(f"{key} must be a number, got {value!r}")
-                claimed[key] = float(value)
+        claimed = {key: _number(doc[key], key) for key in _CLAIM_KEYS if key in doc}
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed system document: missing or bad field ({exc})") from exc
     return SystemSpec(
         name=str(doc.get("name", "")),
-        components=tuple(components),
+        components=components,
         functions=functions,
         network=network,
         claimed=claimed,
@@ -494,8 +518,18 @@ def dumps_system(spec: SystemSpec) -> str:
 
 
 def load_system(path: str | Path) -> SystemSpec:
+    """The spec in a JSON file; ValueError for a malformed one.
+
+    One unbuffered binary read, decoded as `open(path)` would decode it
+    (locale encoding, universal newlines), costs less than a text file
+    object and gives the same text, so the same spec or message.
+    """
+    with open(os.fspath(path), "rb", buffering=0) as file:
+        text = file.read().decode(locale.getpreferredencoding(False))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:

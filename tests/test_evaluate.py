@@ -562,6 +562,20 @@ def test_budget_aborts_long_classical_run():
     assert 0.0 <= ok.reliability <= 1.0
 
 
+def test_budget_stops_the_product_space_while_it_is_built():
+    # 3^14 = 4,782,969 points of W, a list of about 230 MB of masks on 128
+    # components; the budget must stop it long before that is held
+    spec = generate_random_system(FamilyShape.uniform(14, 3), 128, 0.0, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EvaluationTimeout, match="points"):
+            reliability_classical(spec, cap_terms=None, budget_seconds=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
+
+
 @pytest.mark.parametrize(
     "functions, distinct",
     [
