@@ -444,6 +444,12 @@ def system_to_dict(spec: SystemSpec) -> dict:
     return doc
 
 
+# One pass over a list's types lets the common case skip the per-entry
+# checks, which then run only to find and name a fault.
+_FLOAT = frozenset([float])
+_INT = frozenset([int])
+
+
 def _number(value: object, what: str) -> float:
     """A JSON number as a float; float() would also read a string or a bool."""
     if isinstance(value, (str, bool)):
@@ -452,20 +458,17 @@ def _number(value: object, what: str) -> float:
 
 
 def _numbers(values: list, what: str) -> list:
-    # one pass over the types; the per-entry checks only find the fault
+    """`values` as floats, each checked by `_number` unless all are floats."""
     if _FLOAT.issuperset(map(type, values)):
         return values
     return [_number(v, what) for v in values]
 
 
 def _integers(values: list, what: str) -> list:
+    """`values` as ids, each checked by `integer_field` unless all are ints."""
     if _INT.issuperset(map(type, values)):
         return values
     return [integer_field(v, what) for v in values]
-
-
-_FLOAT = frozenset([float])
-_INT = frozenset([int])
 
 
 def system_from_dict(doc: dict) -> SystemSpec:
@@ -473,13 +476,13 @@ def system_from_dict(doc: dict) -> SystemSpec:
 
     Ids must be integers or integral floats, never bools; reliabilities and
     claims must be numbers, never strings or bools.  A document with several
-    faults reports one of them.
+    faults reports one of them, not always the first in document order:
+    every component id is checked before any reliability.
     """
     try:
         entries = doc["components"]
-        reliabilities = [c["reliability"] for c in entries]
         ids = _integers([c["id"] for c in entries], "component id")
-        reliabilities = _numbers(reliabilities, "reliability")
+        reliabilities = _numbers([c["reliability"] for c in entries], "reliability")
         components = tuple([Component(c, a) for c, a in zip(ids, reliabilities)])
         functions = tuple(
             tuple(
