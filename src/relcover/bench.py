@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .combinatorics import count_terms_classical, count_terms_simplified
+from .combinatorics import format_term_counts
 from .errors import EvaluationTimeout
 from .evaluate import reliability_classical, reliability_simplified
 from .system import FamilyShape, SystemSpec, generate_random_system, save_system
@@ -37,8 +37,8 @@ CSV_HEADER = (
 class BenchRow:
     shape: str
     components: int
-    terms_new: int
-    terms_old: int
+    terms_new: str  # as `format_term_counts` writes them
+    terms_old: str
     t_new_seconds: float
     t_old_seconds: float | None  # None when the budget was exceeded
     reliability_new: float
@@ -53,7 +53,7 @@ class BenchRow:
 def bench_system(
     spec: SystemSpec, label: str, timeout: float, instance_path: str
 ) -> BenchRow:
-    shape = spec.shape
+    terms_old, terms_new = format_term_counts(spec.shape)
     new = reliability_simplified(spec, cap_terms=None)
     try:
         old = reliability_classical(spec, cap_terms=None, budget_seconds=timeout)
@@ -65,8 +65,8 @@ def bench_system(
     return BenchRow(
         shape=label,
         components=spec.component_count,
-        terms_new=count_terms_simplified(shape),
-        terms_old=count_terms_classical(shape),
+        terms_new=terms_new,
+        terms_old=terms_old,
         t_new_seconds=new.wall_time,
         t_old_seconds=t_old,
         reliability_new=new.reliability,
@@ -101,13 +101,13 @@ def run_bench(
     return rows
 
 
-def row_cells(r: BenchRow, terms_new: str, terms_old: str) -> list[str]:
-    """One row's CSV cells, the two term counts given as printed."""
+def row_cells(r: BenchRow) -> list[str]:
+    """One row's CSV cells."""
     return [
         r.shape,
         str(r.components),
-        terms_new,
-        terms_old,
+        r.terms_new,
+        r.terms_old,
         f"{r.t_new_seconds:.6f}",
         "timeout" if r.t_old_seconds is None else f"{r.t_old_seconds:.6f}",
         f"{r.reliability_new:.15g}",
@@ -120,5 +120,5 @@ def rows_to_csv(rows: Sequence[BenchRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(row_cells(r, str(r.terms_new), str(r.terms_old)) for r in rows)
+    writer.writerows(map(row_cells, rows))
     return buf.getvalue()

@@ -22,7 +22,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidSystemError
-from .evaluate import _check_term_cap, _group_sum, reliability_simplified
+from .combinatorics import simplified_terms_within
+from .evaluate import DEFAULT_TERM_CAP, _group_sum, reliability_simplified
 from .system import (
     FamilyShape,
     SystemSpec,
@@ -130,7 +131,7 @@ def exact_union_probability(spec: SystemSpec) -> float:
     can sit next to the bound for any spec the bound accepts.
     """
     masks, reliabilities = _single_function_masks(spec)
-    _check_term_cap((1 << len(masks)) - 1)
+    simplified_terms_within(spec.shape, DEFAULT_TERM_CAP)
     return _group_sum([masks], reliabilities)[0]
 
 

@@ -7,15 +7,16 @@ sets of k distinct implementations, n <= k <= m, that hit every function at
 least once.  Their total count is prod (2^{t_i} - 1), exponentially smaller.
 
 All counters use exact integers; the interesting values overflow any fixed
-width long before the evaluators give up, and `format_term_counts` writes
-the two route counts as text without building an integer past 4096 bits.  `coefficient_count` computes the
-coverage coefficient c(A, t): how many t-subsets of D = A_1 x ... x A_n
-cover the disjoint family A, via an alternating binomial sum, and
-`coefficient_count_bruteforce` recounts the same quantity by exhaustive
-dynamic programming over D so the formula can be checked against an
-independent route.  In the reliability setting A_i is function i's set of
-implementations, so the family is a `FamilyShape`: |A_i| = t_i, |A| = m,
-D = W, and an element of A is a (function_index, impl_index) pair.
+width long before the evaluators give up.  Only this module builds, caps
+and writes the routes' nominal counts: the classical cap is checked from
+|W| alone, and `format_term_counts` builds no integer past 4096 bits.
+`coefficient_count` computes the coverage coefficient c(A, t): how many
+t-subsets of D = A_1 x ... x A_n cover the disjoint family A, via an
+alternating binomial sum, and `coefficient_count_bruteforce` recounts it
+by exhaustive dynamic programming over D, an independent route to check
+the formula against.  In the reliability setting A_i is function i's set
+of implementations, so the family is a `FamilyShape` with |A_i| = t_i,
+|A| = m and D = W, and an element of A is a (function, impl) index pair.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ DEFAULT_BRUTEFORCE_CAP = 22
 # this many bits: 2^|W| - 1 has |W|, prod (2^{t_i} - 1) fewer than sum t_i.
 # Past it the integer alone would run to thousands of digits, and to
 # gigabytes before that, so the count is written as a power or a product of
-# powers; so is |W| itself past this many bits.
+# powers; so is |W| itself past this many bits, in brackets (`_format_w`).
 _EXACT_COUNT_MAX_BITS = 4096
 
 Pair = tuple[int, int]
@@ -125,6 +126,13 @@ def _power_form(sizes: Iterable[int], factor: str) -> str:
     )
 
 
+def _format_w(shape: FamilyShape) -> str:
+    w = shape.product_size
+    if w.bit_length() <= _EXACT_COUNT_MAX_BITS:
+        return str(w)
+    return f"({_power_form((t for t in shape.sizes if t > 1), '{}')})"
+
+
 def format_term_counts(shape: FamilyShape) -> tuple[str, str]:
     """The classical and simplified term counts as printable text.
 
@@ -133,18 +141,29 @@ def format_term_counts(shape: FamilyShape) -> tuple[str, str]:
     sizes; prod (2^{t_i} - 1) is written in full while sum t_i is at most
     4096, then as a product of powers.  No integer past 4096 bits is built.
     """
-    w = shape.product_size
-    if w <= _EXACT_COUNT_MAX_BITS:
+    if shape.product_size <= _EXACT_COUNT_MAX_BITS:
         classical = str(count_terms_classical(shape))
-    elif w.bit_length() <= _EXACT_COUNT_MAX_BITS:
-        classical = f"2^{w}-1"
     else:
-        classical = f"2^({_power_form((t for t in shape.sizes if t > 1), '{}')})-1"
+        classical = f"2^{_format_w(shape)}-1"
     if shape.m <= _EXACT_COUNT_MAX_BITS:
         simplified = str(count_terms_simplified(shape))
     else:
         simplified = _power_form(shape.sizes, "(2^{}-1)")
     return classical, simplified
+
+
+def simplified_terms_within(shape: FamilyShape, cap: int | None) -> int:
+    """prod (2^{t_i} - 1), or CapExceeded past `cap`; a cap of None refuses nothing."""
+    count = count_terms_simplified(shape)
+    if cap is not None and count > cap:
+        raise CapExceeded(f"{format_term_counts(shape)[1]} terms exceeds the cap {cap}")
+    return count
+
+
+def check_classical_terms(shape: FamilyShape, cap: int | None) -> None:
+    """CapExceeded when 2^|W| - 1 > cap, so when |W| >= (cap + 1).bit_length()."""
+    if cap is not None and shape.product_size >= max(cap + 1, 0).bit_length():
+        raise CapExceeded(f"{format_term_counts(shape)[0]} terms exceeds the cap {cap}")
 
 
 def _universe(shape: FamilyShape) -> tuple[Pair, ...]:
@@ -195,9 +214,8 @@ def coefficient_count_bruteforce(
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    d_size = shape.product_size
-    if d_size > cap:
-        raise CapExceeded(f"product space has {d_size} elements, cap is {cap}")
+    if shape.product_size > cap:
+        raise CapExceeded(f"product space has {_format_w(shape)} elements, cap is {cap}")
 
     bit = {e: 1 << idx for idx, e in enumerate(_universe(shape))}
     point_masks = []

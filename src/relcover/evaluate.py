@@ -137,11 +137,6 @@ def _prepare(spec: SystemSpec) -> tuple[list[list[int]], list[float]]:
     return masks, reliability_array(spec)
 
 
-def _check_term_cap(term_count: int, cap_terms: int | None = DEFAULT_TERM_CAP) -> None:
-    if cap_terms is not None and term_count > cap_terms:
-        raise CapExceeded(f"{term_count} terms exceeds the cap {cap_terms}")
-
-
 def _check_live_masks(distinct: int) -> None:
     if distinct > MAX_LIVE_MASKS:
         raise CapExceeded(f"coefficient map passed {MAX_LIVE_MASKS} distinct masks")
@@ -399,8 +394,7 @@ def reliability_simplified(
     """
     start = time.perf_counter()
     masks, reliabilities = _prepare(spec)
-    term_count = comb_mod.count_terms_simplified(spec.shape)
-    _check_term_cap(term_count, cap_terms)
+    term_count = comb_mod.simplified_terms_within(spec.shape, cap_terms)
     reliability, distinct = 1.0, 1
     for _, functions in _groups(masks):
         group_reliability, group_distinct = _group_sum(functions, reliabilities)
@@ -445,13 +439,12 @@ def reliability_classical(
     into one capped map with `_accumulate`, projects it onto each group of
     independent functions with `_accumulate` too, and sums the projections.
     `budget_seconds` aborts long runs with EvaluationTimeout, from building
-    the points of W on; the benchmark treats that as a data point rather
-    than a failure.
+    the points of W on; the benchmark treats that as a data point, not a
+    failure.  The count 2^|W| - 1 is built once W's points have been held.
     """
     start = time.perf_counter()
     masks, reliabilities = _prepare(spec)
-    term_count = comb_mod.count_terms_classical(spec.shape)
-    _check_term_cap(term_count, cap_terms)
+    comb_mod.check_classical_terms(spec.shape, cap_terms)
 
     deadline = math.inf if budget_seconds is None else start + budget_seconds
     coefficients = _accumulate(_signed_unions(_point_masks(masks, deadline)), deadline)
@@ -462,7 +455,7 @@ def reliability_classical(
     return EvaluationReport(
         method=Method.CLASSICAL,
         reliability=math.prod(_signed_sum(m, reliabilities) for m in maps),
-        term_count=term_count,
+        term_count=comb_mod.count_terms_classical(spec.shape),
         distinct_product_count=len(coefficients),
         wall_time=time.perf_counter() - start,
     )
@@ -572,7 +565,7 @@ def term_stream(
     masks, _ = _prepare(spec)
 
     if method is Method.SIMPLIFIED:
-        _check_term_cap(comb_mod.count_terms_simplified(spec.shape), cap_terms)
+        comb_mod.simplified_terms_within(spec.shape, cap_terms)
 
         def simplified() -> Iterator[TermEvent]:
             # product() materialises each function's unions on the first next()
@@ -586,7 +579,7 @@ def term_stream(
         return simplified()
 
     if method is Method.CLASSICAL:
-        _check_term_cap(comb_mod.count_terms_classical(spec.shape), cap_terms)
+        comb_mod.check_classical_terms(spec.shape, cap_terms)
         return (TermEvent(u, sign) for u, sign in _signed_unions(_point_masks(masks)))
 
     raise ValueError("term streams exist only for the exact methods")

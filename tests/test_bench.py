@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import pytest
 
@@ -18,8 +19,8 @@ def test_bench_system_agreement(tmp_path):
     spec = generate_random_system(FamilyShape((2, 2)), 10, 0.4, seed=3)
     row = bench_system(spec, "2x2", timeout=30.0, instance_path="x.json")
     assert not row.timed_out
-    assert row.terms_new == 9
-    assert row.terms_old == 15
+    assert row.terms_new == "9"
+    assert row.terms_old == "15"
     assert row.reliability_new == pytest.approx(row.reliability_old, abs=1e-12)
 
 
@@ -32,6 +33,30 @@ def test_budget_overrun_is_a_data_point():
     # the covering-selection route still finished
     assert 0.0 <= row.reliability_new <= 1.0
     assert row.t_new_seconds >= 0.0
+
+
+def test_huge_term_counts_are_written_as_count_writes_them():
+    # 2^19683 - 1 has 5,926 digits, past the integer-string limit
+    spec = generate_random_system(FamilyShape.uniform(9, 3), 128, 0.0, seed=1)
+    row = bench_system(spec, "9x3", timeout=0.0, instance_path="x.json")
+    assert (row.terms_new, row.terms_old) == ("40353607", "2^19683-1")
+    (cells,) = list(csv.reader(io.StringIO(rows_to_csv([row]))))[1:]
+    assert cells[2:4] == ["40353607", "2^19683-1"]
+
+
+def test_bench_builds_no_huge_count():
+    # 2^(3^20) - 1 would take 436 MB; the row holds it as text, and the
+    # budget stops the classical route at once
+    spec = generate_random_system(FamilyShape.uniform(20, 3), 128, 0.0, seed=1)
+    tracemalloc.start()
+    try:
+        row = bench_system(spec, "20x3", timeout=0.0, instance_path="x.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.timed_out
+    assert row.terms_old == "2^3486784401-1"
+    assert peak < 1 << 20, peak
 
 
 def test_run_bench_persists_instances(tmp_path):

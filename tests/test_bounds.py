@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relcover import (
+    CapExceeded,
     Component,
     FamilyShape,
     Implementation,
@@ -130,6 +131,17 @@ def test_exact_union_tolerates_duplicates(t2):
     with pytest.raises(InvalidSystemError):
         reliability_simplified(t2)
     assert exact_union_probability(t2) == pytest.approx(0.2523527, abs=1e-12)
+
+
+def test_exact_union_refuses_a_huge_count_by_cap():
+    # 2^15000 - 1 terms, past the integer-string limit, written as powers
+    spec = SystemSpec(
+        name="e15000",
+        components=tuple(Component(c, 0.5) for c in range(128)),
+        functions=(tuple(Implementation(0, j, frozenset({j % 128})) for j in range(15000)),),
+    )
+    with pytest.raises(CapExceeded, match=r"^\(2\^15000-1\) terms exceeds the cap 16777215$"):
+        exact_union_probability(spec)
 
 
 @given(spec=single_function_systems)

@@ -194,6 +194,40 @@ def test_eval_cap_zero_disables(capsys, fixtures_dir):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "shape, count",
+    # 2^(3^14) - 1 has 1.4 million digits; 2^(3^30) - 1 would take 25 TB
+    [("14x3", "2^4782969-1"), ("30x3", "2^205891132094649-1")],
+)
+def test_eval_classical_refuses_a_huge_count_by_cap(capsys, tmp_path, shape, count):
+    path = tmp_path / "sys.json"
+    argv = ["--components", "128", "--sharing", "0", "--seed", "1", "--out", path]
+    assert run(capsys, "gen", shape, *argv) == (0, "", "")
+    code, out, err = run(capsys, "eval", path, "--method", "classical")
+    assert (code, out) == (2, "")
+    assert err == f"cap exceeded: {count} terms exceeds the cap 16777215\n"
+
+
+def test_eval_writes_a_huge_simplified_count_as_count_does(capsys, tmp_path):
+    # 5200 functions of the implementations {0}, {1}, {2}: 7^5200 terms,
+    # 4,395 digits, past the integer-string limit
+    path = tmp_path / "f5200.json"
+    doc = {
+        "name": "f5200",
+        "components": [{"id": c, "reliability": 0.9} for c in range(3)],
+        "functions": [[{"components": [c]} for c in range(3)]] * 5200,
+    }
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", path)
+    assert (code, out) == (2, "")
+    assert err == "cap exceeded: (2^3-1)^5200 terms exceeds the cap 16777215\n"
+    code, out, err = run(capsys, "eval", path, "--cap-terms", "0")
+    assert (code, err) == (0, "")
+    (row,) = parse_csv(out)
+    assert row["term_count"] == "(2^3-1)^5200"
+    assert float(row["reliability"]) == pytest.approx(0.999, abs=1e-12)
+
+
 def test_eval_live_mask_cap_gives_exit_2(capsys, fixtures_dir, monkeypatch):
     import relcover.evaluate
 
@@ -430,6 +464,26 @@ def test_bounds_cap_gives_exit_2(
     assert code == 2
     assert out == ""
     assert "cap exceeded" in err and message in err
+
+
+def test_bounds_checks_the_term_cap_before_the_pair_sums(capsys, tmp_path, monkeypatch):
+    # S2 takes t^2/2 pair products; the term cap must refuse before them
+    import relcover.cli
+
+    def unreachable(spec):
+        raise AssertionError("bound_summary ran before the term cap refused")
+
+    monkeypatch.setattr(relcover.cli, "bound_summary", unreachable)
+    doc = {
+        "name": "disjoint-25",
+        "components": [{"id": i, "reliability": 0.5} for i in range(25)],
+        "functions": [[{"components": [i]} for i in range(25)]],
+    }
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bounds", path)
+    assert (code, out) == (2, "")
+    assert err == "cap exceeded: 33554431 terms exceeds the cap 16777215\n"
 
 
 # --- gen --------------------------------------------------------------------

@@ -13,6 +13,7 @@ from relcover import (
     enumerate_covering_selections,
     subset_product_size,
 )
+from relcover.combinatorics import check_classical_terms, simplified_terms_within
 
 small_shapes = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
     lambda s: FamilyShape(tuple(s))
@@ -167,6 +168,38 @@ def test_bruteforce_cap():
     with pytest.raises(CapExceeded):
         coefficient_count_bruteforce(FamilyShape((5, 5)), 2)
     assert coefficient_count_bruteforce(FamilyShape((5, 5)), 25, cap=25) == 1
+
+
+def test_bruteforce_refusal_writes_a_huge_product_space_as_powers():
+    # |W| = 3^10000 has 4,772 digits, past the integer-string limit
+    message = r"^product space has \(3\^10000\) elements, cap is 22$"
+    with pytest.raises(CapExceeded, match=message):
+        coefficient_count_bruteforce(FamilyShape((3,) * 10000), 1)
+
+
+@given(st.integers(1, 300), st.integers(-2, 1), st.integers(-(1 << 310), 1 << 310))
+def test_classical_cap_check_matches_the_count(w, near, far):
+    shape = FamilyShape((w,))  # |W| = w
+    count = count_terms_classical(shape)
+    for cap in (count + near, far, -3):
+        if count > cap:
+            with pytest.raises(CapExceeded, match=f"^{count} terms exceeds the cap {cap}$"):
+                check_classical_terms(shape, cap)
+        else:
+            check_classical_terms(shape, cap)
+    check_classical_terms(FamilyShape.uniform(30, 3), None)
+
+
+@given(small_shapes, st.integers(-2, 1))
+def test_simplified_cap_refuses_past_the_count(shape, near):
+    count = count_terms_simplified(shape)
+    assert simplified_terms_within(shape, None) == count
+    cap = count + near
+    if count > cap:
+        with pytest.raises(CapExceeded, match=f"^{count} terms exceeds the cap {cap}$"):
+            simplified_terms_within(shape, cap)
+    else:
+        assert simplified_terms_within(shape, cap) == count
 
 
 @given(

@@ -544,6 +544,44 @@ def test_term_caps_enforced(t1):
     )
 
 
+@pytest.mark.parametrize(
+    "refuse",
+    [reliability_classical, lambda spec: term_stream(spec, Method.CLASSICAL)],
+    ids=["reliability_classical", "term_stream"],
+)
+def test_classical_cap_is_told_from_w_alone(refuse):
+    # 2^(3^30) - 1 terms: the count alone would take 25 TB, so the cap is
+    # decided from |W| = 3^30 and the message writes the count as `count` does
+    spec = generate_random_system(FamilyShape.uniform(30, 3), 128, 0.0, seed=1)
+    message = r"^2\^205891132094649-1 terms exceeds the cap 16777215$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=message):
+            refuse(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [reliability_simplified, lambda spec: term_stream(spec, Method.SIMPLIFIED)],
+    ids=["reliability_simplified", "term_stream"],
+)
+def test_simplified_cap_message_writes_a_huge_count_as_powers(refuse):
+    # 7^5200 terms, 4,395 digits, past the integer-string limit
+    spec = SystemSpec(
+        name="f5200",
+        components=tuple(Component(c, 0.9) for c in range(3)),
+        functions=tuple(
+            tuple(Implementation(i, c, frozenset({c})) for c in range(3)) for i in range(5200)
+        ),
+    )
+    with pytest.raises(CapExceeded, match=r"^\(2\^3-1\)\^5200 terms exceeds the cap 16777215$"):
+        refuse(spec)
+
+
 def test_invalid_system_rejected(t2):
     with pytest.raises(InvalidSystemError):
         reliability_simplified(t2)
