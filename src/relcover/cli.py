@@ -14,7 +14,6 @@ error, 2 a cap or timeout stopped the run.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import io
@@ -22,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .bench import CSV_HEADER, row_cells, run_bench
+from .bench import CSV_HEADER, row_cells, rows_to_csv, run_bench
 from .bounds import (
     SearchConfig,
     bound_summary,
@@ -186,13 +185,11 @@ def cmd_bench(args) -> int:
         timeout=args.timeout,
         instance_dir=instance_dir,
     )
-    table = [row_cells(row) for row in rows]
     if args.out:
-        with open(args.out, "w") as out, contextlib.redirect_stdout(out):
-            _emit_table(CSV_HEADER, table, pretty=False)
+        Path(args.out).write_text(rows_to_csv(rows))
         print(f"wrote {args.out} and instances under {instance_dir}", file=sys.stderr)
     if args.pretty or not args.out:
-        _emit_table(CSV_HEADER, table, args.pretty)
+        _emit_table(CSV_HEADER, [row_cells(row) for row in rows], args.pretty)
     return 0
 
 

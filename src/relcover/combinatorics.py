@@ -112,10 +112,9 @@ def count_terms_classical(shape: FamilyShape) -> int:
 
 def count_terms_simplified(shape: FamilyShape) -> int:
     """prod (2^{t_i} - 1): covering selections of every cardinality."""
-    out = 1
-    for t in shape.sizes:
-        out *= (1 << t) - 1
-    return out
+    # one power per distinct size: a running product of 10^5 factors takes
+    # quadratic time in the growing integer
+    return prod(((1 << t) - 1) ** k for t, k in Counter(shape.sizes).items())
 
 
 def _power_form(sizes: Iterable[int], factor: str) -> str:
@@ -152,18 +151,28 @@ def format_term_counts(shape: FamilyShape) -> tuple[str, str]:
     return classical, simplified
 
 
+def _cap_exceeded(count: str, cap: int) -> CapExceeded:
+    # str() of a cap may pass the 4300-digit limit, so past 4096 bits a cap is
+    # written by its bit length, as format_term_counts writes counts
+    if cap.bit_length() <= _EXACT_COUNT_MAX_BITS:
+        written = str(cap)
+    else:
+        written = f"{'-' if cap < 0 else ''}(a {cap.bit_length()}-bit number)"
+    return CapExceeded(f"{count} terms exceeds the cap {written}")
+
+
 def simplified_terms_within(shape: FamilyShape, cap: int | None) -> int:
     """prod (2^{t_i} - 1), or CapExceeded past `cap`; a cap of None refuses nothing."""
     count = count_terms_simplified(shape)
     if cap is not None and count > cap:
-        raise CapExceeded(f"{format_term_counts(shape)[1]} terms exceeds the cap {cap}")
+        raise _cap_exceeded(format_term_counts(shape)[1], cap)
     return count
 
 
 def check_classical_terms(shape: FamilyShape, cap: int | None) -> None:
     """CapExceeded when 2^|W| - 1 > cap, so when |W| >= (cap + 1).bit_length()."""
     if cap is not None and shape.product_size >= max(cap + 1, 0).bit_length():
-        raise CapExceeded(f"{format_term_counts(shape)[0]} terms exceeds the cap {cap}")
+        raise _cap_exceeded(format_term_counts(shape)[0], cap)
 
 
 def _universe(shape: FamilyShape) -> tuple[Pair, ...]:

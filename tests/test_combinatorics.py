@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -105,6 +107,15 @@ def test_term_counts_grow_exactly():
     assert count_terms_simplified(FamilyShape.uniform(5, 3)) == 16807
 
 
+def test_simplified_count_of_many_functions_is_fast():
+    # a running product of 2x10^5 factors 7 takes about 2 s
+    shape = FamilyShape((3,) * 200_000)
+    start = time.perf_counter()
+    count = count_terms_simplified(shape)
+    assert time.perf_counter() - start < 0.5
+    assert count.bit_length() == 561_471
+
+
 @given(shape=small_shapes)
 def test_simplified_never_exceeds_classical(shape):
     simp = count_terms_simplified(shape)
@@ -200,6 +211,14 @@ def test_simplified_cap_refuses_past_the_count(shape, near):
             simplified_terms_within(shape, cap)
     else:
         assert simplified_terms_within(shape, cap) == count
+
+
+@pytest.mark.parametrize("refuse", [check_classical_terms, simplified_terms_within])
+def test_cap_past_4096_bits_is_written_by_its_bit_length(refuse):
+    # str() of the cap itself would raise the 4300-digit ValueError
+    with pytest.raises(CapExceeded, match=r"exceeds the cap \(a 20001-bit number\)$") as caught:
+        refuse(FamilyShape((3,) * 20000), 1 << 20000)
+    assert len(str(caught.value)) < 200
 
 
 @given(
