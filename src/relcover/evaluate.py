@@ -28,13 +28,16 @@ are linked, directly or through other functions, form one group; groups
 share no component, so they are independent modules in the sense of
 Birnbaum & Esary (1965) and R is the product of the groups' reliabilities.
 The simplified route folds each group on its own, so a 4^5 system with no
-sharing folds five maps of 15 masks instead of one of 759,375.  A last
-merge that could pass _CHECK_EVERY entries is never held whole:
+sharing folds five maps of 15 masks instead of one of 759,375.  A group
+of more than _CHECK_EVERY nominal terms is folded as a head of its first
+functions and a tail of its last ones, at most _TAIL_TERMS nominal terms;
+a smaller group's tail is its last function.  A last merge, head times
+tail, that could pass _CHECK_EVERY entries is never held whole:
 `_split_sum` splits it into parts whose keys differ.  A part's row depends
-only on its entries' inner patterns (their bits inside the last function's
-support) and coefficients, and a head has few patterns, so the parts fall
-into few buckets of alike parts; a bucket's row is merged once and the
-terms of all its parts are summed in one pass.
+only on its entries' inner patterns (their bits inside the tail's support)
+and coefficients, and a head has few patterns, so the parts fall into few
+buckets of alike parts; a bucket's row is merged once and the terms of all
+its parts are summed in one pass.
 The classical route still builds its one map and projects it onto each
 group's support; each per-function map sums to 1, so a projection is
 exactly that group's folded map.  A group's terms, coefficient times the
@@ -49,10 +52,14 @@ the chunk products in ascending chunk order.  `_signed_sum` walks each
 mask.  Only a split last merge, whose buckets repeat the same chunk values
 many times over, memoises them in `functools.lru_cache`s of at most
 _HELD_PRODUCTS products (or one row's worth): one per call maps a chunk
-value to its `mask_product`, and one per bucket and chunk maps an outer
-part's chunk value to the products of the row's keys joined with it.
-`_multiply` multiplies a key's chunk products in `mask_product`'s order,
-so the floats are the same and the split never changes a result.
+value to its `mask_product`, and one per bucket and chunk, `_column`, maps
+an outer part's chunk value to the products of the row's keys joined with
+it, one product per distinct chunk field of the keys.  `_multiply`
+multiplies a key's chunk products in `mask_product`'s order, so the floats
+are the same and the split never changes a result.  A row whose
+coefficients are all +-1 carries them in its first chunk's products
+instead of multiplying each term: -(x * y) == (-x) * y in IEEE rounding,
+so its terms are the same floats.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import combinatorics as comb_mod
 from .errors import CapExceeded, EvaluationTimeout, InvalidSystemError
@@ -97,6 +104,13 @@ _CHECK_EVERY = 1 << 13
 # memoised chunk products, and at most this many more per chunk for the
 # bucket's row (one row's worth, if that is more).
 _HELD_PRODUCTS = 1 << 13
+
+# A group past _CHECK_EVERY nominal terms folds as many last functions
+# into the tail of its split merge as keep the tail at most this many
+# nominal terms (at least one).  On 30 eval-shared 4^5 systems (Python 3.11,
+# 2-core Xeon) the median evaluation took 47-49 ms with a tail of two
+# functions (225 terms), 95-101 ms with one and 83-101 ms with three.
+_TAIL_TERMS = 1 << 8
 
 # Subset unions over this many low counter bits come from one prefix table.
 _TABLE_BITS = 16
@@ -279,29 +293,53 @@ def _groups(functions: list[list[int]]) -> list[tuple[int, list[list[int]]]]:
     return sorted(groups, key=lambda group: group[0])
 
 
+def _tail_length(functions: list[list[int]]) -> int:
+    """How many of a group's last functions `_group_sum` folds into its tail.
+
+    One for a group of at most _CHECK_EVERY nominal terms.  A larger group
+    takes the most last functions whose nominal count, prod (2^t - 1), is
+    at most _TAIL_TERMS: at least one, and never all of them.  Only the
+    group's shape decides.
+    """
+    terms = [(1 << len(masks)) - 1 for masks in functions]
+    nominal = 1
+    for t in terms:
+        nominal *= t
+        if nominal > _CHECK_EVERY:
+            break
+    else:
+        return 1
+    k, tail = 1, terms[-1]
+    while k + 1 < len(terms) and tail * terms[-k - 1] <= _TAIL_TERMS:
+        k += 1
+        tail *= terms[-k]
+    return k
+
+
 def _group_sum(
     functions: list[list[int]], reliabilities: list[float]
 ) -> tuple[float, int]:
     """(signed sum, distinct unions) of one group, without holding its map.
 
-    A group of one function sums its own map.  Otherwise the functions
-    before the last are folded by `_fold` into a head map, and the last
-    merge, head times the last function's own map, is summed as it is made.
-    A merge that cannot pass _CHECK_EVERY entries is made whole by `_merge`
-    and summed, a larger one by `_split_sum` a bucket of parts at a time,
-    bit-identical to `_signed_sum(_fold(functions))` and its length.  The
-    running count of distinct unions is checked against MAX_LIVE_MASKS
-    after every bucket and during every merge, so CapExceeded fires exactly
-    when the whole map would have passed it.
+    A group of one function sums its own map.  Otherwise `_fold` folds the
+    first functions into a head map and the last `_tail_length` ones into
+    a tail map, and the last merge, head times tail, is summed as it is
+    made.  A merge that cannot pass _CHECK_EVERY entries is made whole by
+    `_merge` and summed, a larger one by `_split_sum` a bucket of parts at
+    a time, bit-identical to `_signed_sum(_fold(functions))` and its
+    length.  The running count of distinct unions is checked against
+    MAX_LIVE_MASKS after every bucket and during every merge, so
+    CapExceeded fires exactly when the whole map would have passed it.
     """
     if len(functions) == 1:
         own = _own_map(functions[0])
         return _signed_sum(own, reliabilities), len(own)
-    head = _fold(functions[:-1])
-    last = _own_map(functions[-1])
-    if len(head) * len(last) > _CHECK_EVERY:
-        return _split_sum(head, last, reliabilities)
-    merged = _merge(head.items(), last)
+    k = _tail_length(functions)
+    head = _fold(functions[:-k])
+    tail = _fold(functions[-k:])
+    if len(head) * len(tail) > _CHECK_EVERY:
+        return _split_sum(head, tail, reliabilities)
+    merged = _merge(head.items(), tail)
     return _signed_sum(merged, reliabilities), len(merged)
 
 
@@ -333,23 +371,59 @@ def _buckets(head: dict[int, int], inside: int) -> dict[tuple, list[int]]:
     return buckets
 
 
+def _column(
+    product: Callable[[int], float], fields: list[int], signs: list[int] | None
+) -> Callable[[int], Sequence[float]]:
+    """Memo: outer chunk value o -> product(o | field) * sign per field.
+
+    `product` is taken once per distinct (field, sign) pair, and
+    `operator.itemgetter` spreads the values to the fields.  Signs are
+    +-1, whose multiply is exact; without `signs` the products are left
+    as they are.  The memo holds at most _HELD_PRODUCTS products (or one
+    row's worth).
+    """
+    keys = list(zip(fields, signs or itertools.repeat(1)))
+    unique = list(dict.fromkeys(keys))
+    joined = [field for field, _ in unique]
+    scales = [float(sign) for _, sign in unique] if signs else None
+    if len(unique) == len(keys):
+        spread = list
+    else:
+        where = {key: i for i, key in enumerate(unique)}
+        pick = operator.itemgetter(*map(where.__getitem__, keys))
+
+        def spread(products: Iterable[float]) -> Sequence[float]:
+            return pick(list(products))
+
+    @lru_cache(max(1, _HELD_PRODUCTS // len(fields)))
+    def column(o: int) -> Sequence[float]:
+        products = map(product, map(o.__or__, joined))
+        if scales:
+            products = map(operator.mul, scales, products)
+        return spread(products)
+
+    return column
+
+
 def _split_sum(
-    head: dict[int, int], last: dict[int, int], reliabilities: list[float]
+    head: dict[int, int], tail: dict[int, int], reliabilities: list[float]
 ) -> tuple[float, int]:
     """`_group_sum` of a large last merge, summed one bucket of parts at a time.
 
-    A key of the merge is a | b with b inside the last function's support
-    S, the OR of `last`'s keys, so the head splits into parts by outer =
-    a & ~S, whose keys outer | y (y inside S) meet no other part's.  A
-    part's row {y: coefficient} depends only on its signature, its entries'
-    (pattern a & S, coefficient) pairs, and `_buckets` finds few
-    signatures.  A bucket's row is merged once, counted once per part, and
-    gives the terms c * P(outer | y) of all its parts to `math.fsum` in one
-    pipeline: per chunk, a column memo gives each part's products of the
-    row's fields joined with outer's, multiplied in `mask_product`'s order.
+    A key of the merge is a | b with b inside the tail's support S, the OR
+    of `tail`'s keys, so the head splits into parts by outer = a & ~S,
+    whose keys outer | y (y inside S) meet no other part's.  A part's row
+    {y: coefficient} depends only on its signature, its entries' (pattern
+    a & S, coefficient) pairs, and `_buckets` finds few signatures.  A
+    bucket's row is merged once, counted once per part, and gives the
+    terms c * P(outer | y) of all its parts to `math.fsum` in one pipeline:
+    per chunk, a `_column` memo gives each part's products of the row's
+    fields joined with outer's, multiplied in `mask_product`'s order.  A
+    row whose coefficients are all +-1 carries them in its first column,
+    so its terms need no multiply of their own.
     """
     inside = 0
-    for b in last:
+    for b in tail:
         inside |= b
     width = (max(head) | inside).bit_length()
     chunks = [CHUNK_MASK << shift for shift in range(0, width, CHUNK_BITS)]
@@ -359,22 +433,26 @@ def _split_sum(
     def terms() -> Iterator[Iterable[float]]:
         nonlocal distinct
         for signature, parts in _buckets(head, inside).items():
-            row = _merge(signature, last)
+            row = _merge(signature, tail)
             distinct += len(row) * len(parts)
             _check_live_masks(distinct)
             keys = [y for y, c in row.items() if c]
             if not keys:
                 continue
+            coefficients = [row[y] for y in keys]
+            unit = all(c * c == 1 for c in coefficients)
+            signs = coefficients if unit else None
             factors = []
             for chunk in chunks:
-                fields = [y & chunk for y in keys]
-                column = lru_cache(max(1, _HELD_PRODUCTS // len(fields)))(
-                    lambda o, fields=fields: list(map(product, map(o.__or__, fields)))
-                )
+                column = _column(product, [y & chunk for y in keys], signs)
+                signs = None
                 outers = map((chunk & ~inside).__and__, parts)
                 factors.append(itertools.chain.from_iterable(map(column, outers)))
-            coefficients = itertools.cycle([row[y] for y in keys])
-            yield map(operator.mul, coefficients, _multiply(factors))
+            products = _multiply(factors)
+            if unit:
+                yield products
+            else:
+                yield map(operator.mul, itertools.cycle(coefficients), products)
 
     return math.fsum(itertools.chain.from_iterable(terms())), distinct
 

@@ -256,15 +256,20 @@ def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
     base = 0
     while mask:
         chunk = mask & CHUNK_MASK
-        if chunk:  # an empty chunk's product, 1.0, would change no bit
+        if chunk:
             q = 1.0
             while chunk:
                 low = chunk & -chunk
                 q *= reliabilities[base + low.bit_length() - 1]
                 chunk ^= low
             p *= q
-        mask >>= CHUNK_BITS
-        base += CHUNK_BITS
+            mask >>= CHUNK_BITS
+            base += CHUNK_BITS
+        else:  # empty chunks multiply by 1.0, no bit: skip to the lowest id's chunk
+            skip = (mask & -mask).bit_length() - 1
+            skip -= skip % CHUNK_BITS
+            mask >>= skip
+            base += skip
     return p
 
 

@@ -38,8 +38,10 @@ from relcover.evaluate import (
     _signed_sum,
     _signed_unions,
     _split_sum,
+    _tail_length,
 )
 from relcover.system import CHUNK_BITS, mask_product, reliability_array
+from test_golden import SPLIT
 
 
 def make_system(reliabilities, functions, name="test"):
@@ -351,6 +353,18 @@ def test_group_sum_is_the_folded_sum_bit_for_bit(drawn):
     assert (total.hex(), distinct) == expected
 
 
+@given(drawn=groups_of_functions())
+@example(drawn=(to_masks(SPREAD), [0.2 + i / 200 for i in range(120)]))
+def test_split_at_every_tail_is_the_folded_sum_bit_for_bit(drawn):
+    functions, reliabilities = drawn
+    folded = _fold(functions)
+    expected = (_signed_sum(folded, reliabilities).hex(), len(folded))
+    for k in range(1, len(functions)):
+        head, tail = _fold(functions[:-k]), _fold(functions[-k:])
+        total, distinct = _split_sum(head, tail, reliabilities)
+        assert (total.hex(), distinct) == expected, k
+
+
 def parts_of(functions):
     """{outer: set of (pattern, coefficient)} over the head of a group's last merge."""
     masks = to_masks(functions)
@@ -392,6 +406,63 @@ def test_parts_with_equal_pairs_share_one_merged_row(functions):
                     total, distinct = _split_sum(built, last, reliabilities)
                 assert merge.call_count == len(signatures)
                 assert (total.hex(), distinct) == expected
+
+
+@pytest.mark.parametrize(
+    "sizes, k",
+    [
+        # at most _CHECK_EVERY nominal terms: the last function alone
+        ((4, 4, 4), 1),
+        ((3,) * 4, 1),
+        # the most last functions of at most 256 nominal terms
+        ((4,) * 5, 2),
+        ((4,) * 6, 2),
+        ((3,) * 8, 2),
+        ((2,) * 14, 5),
+        ((5,) * 4, 1),
+        ((7,) * 3, 1),
+        # never the whole group
+        ((2, 2, 2, 2, 2, 2, 2, 2, 13), 1),
+        ((13, 2, 2, 2), 3),
+    ],
+)
+def test_tail_length_depends_on_the_shape_alone(sizes, k):
+    functions = [[1 << j for j in range(t)] for t in sizes]
+    assert _tail_length(functions) == k
+
+
+def test_split_sum_multiplies_coefficients_other_than_one():
+    # a hand-built head over two chunks of ids: parts of one entry with
+    # coefficient -2, 2 or 3 give rows that keep the multiply, parts of
+    # +-1 rows whose signs ride in the first column, and parts of two
+    # entries rows with both kinds of coefficient
+    head = {}
+    for i, c in zip(range(1, 400), itertools.cycle((2, -2, 3, 1, -1))):
+        head[37 * i << 4 | i % 15 + 1] = c
+        if not i % 7:
+            head[37 * i << 4] = -c
+    tail = _own_map([1 << j for j in range(4)])
+    reliabilities = [0.3 + j / 50 for j in range(18)]
+    merged = evaluate._merge(head.items(), tail)
+    assert {abs(c) for c in merged.values()} >= {1, 2, 3}
+    expected = (_signed_sum(merged, reliabilities).hex(), len(merged))
+    total, distinct = _split_sum(head, tail, reliabilities)
+    assert (total.hex(), distinct) == expected
+
+
+@pytest.mark.parametrize(
+    "spec, value, distinct",
+    [row[:3] for row in SPLIT],
+    ids=["two-chunks", "multi-entry-parts"],
+)
+def test_split_at_the_last_function_keeps_the_pinned_bits(spec, value, distinct):
+    # these systems are evaluated with a tail of two functions; a tail of
+    # the last function alone has the structure their pins describe
+    functions = [[impl.mask for impl in f] for f in spec.functions]
+    assert _tail_length(functions) == 2
+    reliabilities = reliability_array(spec)
+    total, count = _split_sum(_fold(functions[:-1]), _own_map(functions[-1]), reliabilities)
+    assert (total.hex(), count) == (value, distinct)
 
 
 def two_entry_parts():
@@ -469,6 +540,21 @@ def test_split_sum_holds_at_most_the_memoised_products(system, held):
     # one more is the product in flight as the memo takes it
     chunks = -(-(max(head) | max(last)).bit_length() // CHUNK_BITS)
     assert peak <= (1 + chunks) * held + 1, peak
+
+
+def test_split_evaluation_peaks_under_one_and_a_half_megabytes():
+    # the golden two-chunks 4^5 system, folded to a head of three functions
+    # and a tail of two; a head of four functions peaked at 4.6 MB
+    spec = SPLIT[0][0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        reliability_simplified(spec)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
 
 
 def test_simplified_never_holds_the_whole_map():

@@ -362,12 +362,15 @@ def test_validator_matches_the_reference(spec):
 
 @settings(max_examples=300)
 @given(
-    bits=st.frozensets(st.integers(0, 127), max_size=40) | st.integers(0, 2**128 - 1),
+    bits=st.frozensets(st.integers(0, 127), max_size=40)
+    | st.frozensets(st.integers(49, 127), max_size=40)
+    | st.integers(0, 2**128 - 1),
     pool=st.lists(st.floats(allow_nan=False), min_size=17, max_size=17),
 )
 def test_mask_product_matches_the_reference(bits, pool):
-    # sparse masks leave whole chunks empty; a pool of 17 repeated gives each
-    # chunk of 16 ids other values
+    # sparse masks leave whole chunks empty, and masks above id 48 at least
+    # the first three; a pool of 17 repeated gives each chunk of 16 ids
+    # other values
     mask = bits if isinstance(bits, int) else sum(1 << c for c in bits)
     reliabilities = (pool * 8)[:128]
     got = mask_product(mask, reliabilities)
