@@ -29,10 +29,9 @@ share no component, so they are independent modules in the sense of
 Birnbaum & Esary (1965) and R is the product of the groups' reliabilities.
 The simplified route folds each group on its own, so a 4^5 system with no
 sharing folds five maps of 15 masks instead of one of 759,375.  A group
-of more than _CHECK_EVERY nominal terms is folded as a head of its first
-functions and a tail of its last ones, at most _TAIL_TERMS nominal terms;
-a smaller group's tail is its last function.  A last merge, head times
-tail, that could pass _CHECK_EVERY entries is never held whole:
+of several functions is folded as a head of its first functions and a
+tail of its last ones, at most _TAIL_TERMS nominal terms.  A last merge,
+head times tail, that could pass _CHECK_EVERY entries is never held whole:
 `_split_sum` splits it into parts whose keys differ.  A part's row depends
 only on its entries' inner patterns (their bits inside the tail's support)
 and coefficients, and a head has few patterns, so the parts fall into few
@@ -105,9 +104,9 @@ _CHECK_EVERY = 1 << 13
 # bucket's row (one row's worth, if that is more).
 _HELD_PRODUCTS = 1 << 13
 
-# A group past _CHECK_EVERY nominal terms folds as many last functions
-# into the tail of its split merge as keep the tail at most this many
-# nominal terms (at least one).  On 30 eval-shared 4^5 systems (Python 3.11,
+# A group of several functions folds as many last functions into the
+# tail of its last merge as keep the tail at most this many nominal terms
+# (at least one, never all).  On 30 eval-shared 4^5 systems (Python 3.11,
 # 2-core Xeon) the median evaluation took 47-49 ms with a tail of two
 # functions (225 terms), 95-101 ms with one and 83-101 ms with three.
 _TAIL_TERMS = 1 << 8
@@ -296,19 +295,11 @@ def _groups(functions: list[list[int]]) -> list[tuple[int, list[list[int]]]]:
 def _tail_length(functions: list[list[int]]) -> int:
     """How many of a group's last functions `_group_sum` folds into its tail.
 
-    One for a group of at most _CHECK_EVERY nominal terms.  A larger group
-    takes the most last functions whose nominal count, prod (2^t - 1), is
-    at most _TAIL_TERMS: at least one, and never all of them.  Only the
+    The most last functions whose nominal count, prod (2^t - 1), is at
+    most _TAIL_TERMS: at least one, and never all of them.  Only the
     group's shape decides.
     """
     terms = [(1 << len(masks)) - 1 for masks in functions]
-    nominal = 1
-    for t in terms:
-        nominal *= t
-        if nominal > _CHECK_EVERY:
-            break
-    else:
-        return 1
     k, tail = 1, terms[-1]
     while k + 1 < len(terms) and tail * terms[-k - 1] <= _TAIL_TERMS:
         k += 1
@@ -344,30 +335,17 @@ def _group_sum(
 
 
 def _buckets(head: dict[int, int], inside: int) -> dict[tuple, list[int]]:
-    """{signature: one head key of each part} over `_split_sum`'s parts.
+    """{signature: the outers of its parts} over `_split_sum`'s parts.
 
     Sorted by key and then by outer, a part's entries are neighbours in
-    ascending pattern order, and an outer equal to a neighbour's marks a
-    part of several entries, read part by part.  Every other part's
-    signature is its one pair, so those are bucketed by two stable sorts,
-    once the lists the first step needed are dropped.
+    ascending pattern order, so one `groupby` reads each part's signature.
     """
     outside = ~inside
     order = sorted(head)
     order.sort(key=outside.__and__)
-    outers, behind = itertools.tee(map(outside.__and__, order))
-    same = list(map(operator.eq, outers, itertools.chain([None], behind)))
-    several = list(map(operator.or_, same, same[1:] + [False]))
     buckets: dict[tuple, list[int]] = {}
-    for _, part in itertools.groupby(itertools.compress(order, several), outside.__and__):
-        part = list(part)
-        buckets.setdefault(tuple([(a & inside, head[a]) for a in part]), []).append(part[0])
-    single = sorted(itertools.compress(order, map(operator.not_, several)), key=head.get)
-    del order, same, several
-    single.sort(key=inside.__and__)
-    for x, alike in itertools.groupby(single, inside.__and__):
-        for c, part in itertools.groupby(alike, head.__getitem__):
-            buckets[((x, c),)] = list(part)
+    for outer, part in itertools.groupby(order, outside.__and__):
+        buckets.setdefault(tuple([(a & inside, head[a]) for a in part]), []).append(outer)
     return buckets
 
 
@@ -414,13 +392,14 @@ def _split_sum(
     of `tail`'s keys, so the head splits into parts by outer = a & ~S,
     whose keys outer | y (y inside S) meet no other part's.  A part's row
     {y: coefficient} depends only on its signature, its entries' (pattern
-    a & S, coefficient) pairs, and `_buckets` finds few signatures.  A
-    bucket's row is merged once, counted once per part, and gives the
-    terms c * P(outer | y) of all its parts to `math.fsum` in one pipeline:
-    per chunk, a `_column` memo gives each part's products of the row's
-    fields joined with outer's, multiplied in `mask_product`'s order.  A
-    row whose coefficients are all +-1 carries them in its first column,
-    so its terms need no multiply of their own.
+    a & S, coefficient) pairs, and `_buckets` gives the parts of each of
+    the few signatures by their outers.  A bucket's row is merged once,
+    counted once per outer, and gives the terms c * P(outer | y) of all its
+    parts to `math.fsum` in one pipeline: per chunk, a `_column` memo gives
+    each outer's chunk value the products of the row's fields joined with
+    it, multiplied in `mask_product`'s order.  A row whose coefficients are
+    all +-1 carries them in its first column, so its terms need no multiply
+    of their own.
     """
     inside = 0
     for b in tail:
@@ -432,9 +411,9 @@ def _split_sum(
 
     def terms() -> Iterator[Iterable[float]]:
         nonlocal distinct
-        for signature, parts in _buckets(head, inside).items():
+        for signature, outers in _buckets(head, inside).items():
             row = _merge(signature, tail)
-            distinct += len(row) * len(parts)
+            distinct += len(row) * len(outers)
             _check_live_masks(distinct)
             keys = [y for y, c in row.items() if c]
             if not keys:
@@ -446,8 +425,8 @@ def _split_sum(
             for chunk in chunks:
                 column = _column(product, [y & chunk for y in keys], signs)
                 signs = None
-                outers = map((chunk & ~inside).__and__, parts)
-                factors.append(itertools.chain.from_iterable(map(column, outers)))
+                values = map(chunk.__and__, outers)
+                factors.append(itertools.chain.from_iterable(map(column, values)))
             products = _multiply(factors)
             if unit:
                 yield products

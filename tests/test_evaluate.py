@@ -31,6 +31,7 @@ from relcover import (
 from relcover import evaluate
 from relcover.evaluate import (
     _accumulate,
+    _buckets,
     _fold,
     _group_sum,
     _groups,
@@ -365,6 +366,27 @@ def test_split_at_every_tail_is_the_folded_sum_bit_for_bit(drawn):
         assert (total.hex(), distinct) == expected, k
 
 
+@given(drawn=groups_of_functions())
+def test_buckets_are_the_parts_by_signature(drawn):
+    functions, _ = drawn
+    for k in range(1, len(functions)):
+        head = _fold(functions[:-k])
+        inside = 0
+        for m in itertools.chain.from_iterable(functions[-k:]):
+            inside |= m
+        parts: dict[int, list[tuple[int, int]]] = {}
+        for a, c in head.items():
+            parts.setdefault(a & ~inside, []).append((a & inside, c))
+        expected: dict[tuple, list[int]] = {}
+        for outer, pairs in parts.items():
+            expected.setdefault(tuple(sorted(pairs)), []).append(outer)
+        buckets = _buckets(head, inside)
+        # sorted lists, so an outer given twice or in two buckets shows
+        assert {s: sorted(o) for s, o in buckets.items()} == {
+            s: sorted(o) for s, o in expected.items()
+        }, k
+
+
 def parts_of(functions):
     """{outer: set of (pattern, coefficient)} over the head of a group's last merge."""
     masks = to_masks(functions)
@@ -411,10 +433,9 @@ def test_parts_with_equal_pairs_share_one_merged_row(functions):
 @pytest.mark.parametrize(
     "sizes, k",
     [
-        # at most _CHECK_EVERY nominal terms: the last function alone
-        ((4, 4, 4), 1),
-        ((3,) * 4, 1),
         # the most last functions of at most 256 nominal terms
+        ((4, 4, 4), 2),
+        ((3,) * 4, 2),
         ((4,) * 5, 2),
         ((4,) * 6, 2),
         ((3,) * 8, 2),
@@ -424,6 +445,11 @@ def test_parts_with_equal_pairs_share_one_merged_row(functions):
         # never the whole group
         ((2, 2, 2, 2, 2, 2, 2, 2, 13), 1),
         ((13, 2, 2, 2), 3),
+        # design-loop shapes, whose last merges are made whole
+        ((2, 2), 1),
+        ((3, 3), 1),
+        ((3, 3, 3), 2),
+        ((2, 2, 2, 2), 3),
     ],
 )
 def test_tail_length_depends_on_the_shape_alone(sizes, k):
