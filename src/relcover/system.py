@@ -38,6 +38,13 @@ MAX_COMPONENTS = 128
 CHUNK_BITS = 16
 CHUNK_MASK = (1 << CHUNK_BITS) - 1
 
+# _BITS[b]: the positions of the set bits of byte b, ascending.  Built by
+# doubling: step k appends every entry so far with bit k added.
+_BITS: list[tuple[int, ...]] = [()]
+for _bit in range(8):
+    _BITS += [bits + (_bit,) for bits in _BITS]
+del _bit
+
 
 @dataclass(frozen=True)
 class Component:
@@ -246,11 +253,13 @@ def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
     Ids fall into chunks of CHUNK_BITS (0..15, 16..31, ...).  Each chunk's
     product is taken from 1.0 in ascending id order, and the chunk products
     are multiplied in ascending chunk order; for a mask inside ids 0..15
-    that is the plain ascending product.  This is the one product primitive
-    behind every route, so equal masks always give bit-identical products,
-    and a product assembled from memoised chunk products in the same order
-    is bit-identical too.  `reliabilities` is the dense list
-    `reliability_array(spec)`.
+    that is the plain ascending product.  A chunk is walked as two bytes,
+    low byte first, each through the set-bit positions `_BITS` holds, which
+    is the same ascending order, so the bits do not depend on the walk.
+    This is the one product primitive behind every route, so equal masks
+    always give bit-identical products, and a product assembled from
+    memoised chunk products in the same order is bit-identical too.
+    `reliabilities` is the dense list `reliability_array(spec)`.
     """
     p = 1.0
     base = 0
@@ -258,10 +267,11 @@ def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
         chunk = mask & CHUNK_MASK
         if chunk:
             q = 1.0
-            while chunk:
-                low = chunk & -chunk
-                q *= reliabilities[base + low.bit_length() - 1]
-                chunk ^= low
+            for j in _BITS[chunk & 255]:
+                q *= reliabilities[base + j]
+            high = base + 8
+            for j in _BITS[chunk >> 8]:
+                q *= reliabilities[high + j]
             p *= q
             mask >>= CHUNK_BITS
             base += CHUNK_BITS
@@ -530,10 +540,16 @@ def load_system(path: str | Path) -> SystemSpec:
 
     One unbuffered binary read, decoded as `open(path)` would decode it
     (locale encoding, universal newlines), costs less than a text file
-    object and gives the same text, so the same spec or message.
+    object and gives the same text, so the same spec or message.  Bytes
+    that do not decode give a ValueError that names the file.
     """
     with open(os.fspath(path), "rb", buffering=0) as file:
-        text = file.read().decode(locale.getpreferredencoding(False))
+        data = file.read()
+    encoding = locale.getpreferredencoding(False)
+    try:
+        text = data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not readable as {encoding} text ({exc})") from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:

@@ -140,6 +140,15 @@ def test_eval_deeply_nested_json_exits_1(capsys, tmp_path):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+def test_eval_undecodable_bytes_name_the_file(capsys, tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "eval", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_eval_top_level_list_exits_1(capsys, tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[]")

@@ -761,6 +761,30 @@ def test_live_mask_cap_stops_the_fold(monkeypatch, functions, distinct):
     )
 
 
+# What one live mask costs in a coefficient map at most: a dict entry of 40
+# bytes (tracemalloc, 2^19 entries) and an int key of 44 bytes (128 bits).
+MAP_ENTRY_BYTES = 84
+
+
+def test_live_mask_cap_bounds_the_memory_of_a_refusal(monkeypatch):
+    # a shared 4^5 system as eval-shared draws them, 565,935 distinct unions,
+    # whose whole evaluation peaks at about 670 kB; the fold of its head of
+    # three functions reaches 3375 unions.  A merge holds the map it reads
+    # and the map it builds, so two maps at the cap bound the peak of a
+    # refusal, which a check after the head's last merge would break
+    spec = generate_random_system(FamilyShape.uniform(5, 4), 40, 0.3, seed=1)
+    cap = 1024
+    monkeypatch.setattr(evaluate, "MAX_LIVE_MASKS", cap)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            reliability_simplified(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cap * MAP_ENTRY_BYTES, peak
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -9,13 +9,14 @@ same.
 import copy
 import functools
 import json
+import locale
 import math
 import operator
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relcover import (
     Component,
@@ -80,7 +81,12 @@ def reference_from_dict(doc):
 
 def reference_load(path):
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        encoding = locale.getpreferredencoding(False)
+        raise ValueError(f"{path}: not readable as {encoding} text ({exc})") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
@@ -360,6 +366,11 @@ def test_validator_matches_the_reference(spec):
 # --- the product primitive ---------------------------------------------------
 
 
+# 17 distinct reliabilities: a product of three or more taken in another
+# order mostly reads other bits
+POOL = [0.05 + 0.9 * (k * 0.6180339887498949 % 1.0) for k in range(17)]
+
+
 @settings(max_examples=300)
 @given(
     bits=st.frozensets(st.integers(0, 127), max_size=40)
@@ -367,12 +378,20 @@ def test_validator_matches_the_reference(spec):
     | st.integers(0, 2**128 - 1),
     pool=st.lists(st.floats(allow_nan=False), min_size=17, max_size=17),
 )
+@example(bits=frozenset({7, 8}), pool=POOL)
+@example(bits=frozenset({15, 16}), pool=POOL)
+@example(bits=frozenset(range(120, 128)), pool=POOL)
+@example(bits=frozenset(8 * k + k % 8 for k in range(16)), pool=POOL)
+@example(bits=2**128 - 1, pool=POOL)
 def test_mask_product_matches_the_reference(bits, pool):
     # sparse masks leave whole chunks empty, and masks above id 48 at least
     # the first three; a pool of 17 repeated gives each chunk of 16 ids
-    # other values
+    # other values.  A chunk is walked as its low byte and then its high
+    # byte: the examples straddle byte and chunk edges, set one bit in every
+    # byte, and set all 128 bits
     mask = bits if isinstance(bits, int) else sum(1 << c for c in bits)
     reliabilities = (pool * 8)[:128]
     got = mask_product(mask, reliabilities)
     want = reference_mask_product(mask, reliabilities)
     assert got.hex() == want.hex()
+
