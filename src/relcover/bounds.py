@@ -21,17 +21,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidSystemError
 from .combinatorics import simplified_terms_within
 from .evaluate import DEFAULT_TERM_CAP, _group_sum, reliability_simplified
-from .system import (
-    FamilyShape,
-    SystemSpec,
-    generate_random_system,
-    mask_product,
-    reliability_array,
-    validate_system,
-)
+from .system import FamilyShape, SystemSpec, generate_random_system, mask_product, prepared
 
 # A witness pair must beat both orderings by more than this, so knife-edge
 # pairs stay out and witnesses survive re-evaluation by the classical route.
@@ -71,17 +63,14 @@ class WitnessPair:
     bound_high: float
 
 
-def _single_function_masks(spec: SystemSpec) -> tuple[list[int], list[float]]:
+def _single_function_masks(spec: SystemSpec) -> tuple[tuple[int, ...], tuple[float, ...]]:
     # Bounds work on one function's events.  Identical component sets within
     # the function are legitimate here (two events may be the same event), so
     # only the other validation rules apply.
     if len(spec.functions) != 1:
         raise ValueError("bounds are defined for single-function systems")
-    report = validate_system(spec)
-    hard = [v for v in report.violations if v.kind != "duplicate-implementation"]
-    if hard:
-        raise InvalidSystemError(hard)
-    return [impl.mask for impl in spec.functions[0]], reliability_array(spec)
+    masks, reliabilities = prepared(spec, duplicates_ok=True)
+    return masks[0], reliabilities
 
 
 def pairwise_sums(spec: SystemSpec) -> tuple[float, float]:

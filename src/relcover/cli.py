@@ -28,7 +28,7 @@ from .bounds import (
     exact_union_probability,
     nonmonotonicity_search,
 )
-from .errors import CapExceeded, EvaluationTimeout, GenerationError, InvalidSystemError
+from .errors import CapExceeded, EvaluationTimeout, GenerationError
 from .evaluate import (
     DEFAULT_TERM_CAP,
     Method,
@@ -43,8 +43,8 @@ from .system import (
     dumps_system,
     generate_random_system,
     load_system,
+    prepared,
     save_system,
-    validate_system,
 )
 
 
@@ -256,9 +256,7 @@ def cmd_paths(args) -> int:
                 "a function with no implementations is not a valid system"
             )
     derived = dataclasses.replace(spec, functions=functions)
-    report = validate_system(derived)
-    if not report.ok:
-        raise InvalidSystemError(report.violations)
+    prepared(derived)  # raises InvalidSystemError for an invalid derived system
     if args.out:
         save_system(derived, args.out)
     else:

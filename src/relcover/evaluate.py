@@ -74,15 +74,8 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import combinatorics as comb_mod
-from .errors import CapExceeded, EvaluationTimeout, InvalidSystemError
-from .system import (
-    CHUNK_BITS,
-    CHUNK_MASK,
-    SystemSpec,
-    mask_product,
-    reliability_array,
-    validate_system,
-)
+from .errors import CapExceeded, EvaluationTimeout
+from .system import CHUNK_BITS, CHUNK_MASK, SystemSpec, mask_product, prepared
 
 # Exact evaluators refuse term counts beyond this unless overridden.
 DEFAULT_TERM_CAP = (1 << 24) - 1
@@ -140,14 +133,6 @@ class EvaluationReport:
     wall_time: float
     standard_error: float | None = None
     samples: int | None = None
-
-
-def _prepare(spec: SystemSpec) -> tuple[list[list[int]], list[float]]:
-    report = validate_system(spec)
-    if not report.ok:
-        raise InvalidSystemError(report.violations)
-    masks = [[impl.mask for impl in function] for function in spec.functions]
-    return masks, reliability_array(spec)
 
 
 def _check_live_masks(distinct: int) -> None:
@@ -234,7 +219,7 @@ def _merge(pairs: Iterable[tuple[int, int]], own: dict[int, int]) -> dict[int, i
     return merged
 
 
-def _fold(functions: list[list[int]]) -> dict[int, int]:
+def _fold(functions: Sequence[Sequence[int]]) -> dict[int, int]:
     """{union mask: net coefficient} over every covering selection.
 
     `_merge` of one signed union map per function, own maps from
@@ -261,21 +246,21 @@ def _multiply(factors: Sequence[Iterable[float]]) -> Iterator[float]:
     return products
 
 
-def _signed_sum(coefficients: dict[int, int], reliabilities: list[float]) -> float:
+def _signed_sum(coefficients: dict[int, int], reliabilities: Sequence[float]) -> float:
     """Correctly rounded sum of c * P(mask), so the map's order never matters."""
     return math.fsum(
         c * mask_product(mask, reliabilities) for mask, c in coefficients.items() if c
     )
 
 
-def _groups(functions: list[list[int]]) -> list[tuple[int, list[list[int]]]]:
+def _groups(functions: Sequence[Sequence[int]]) -> list[tuple[int, list[Sequence[int]]]]:
     """(support, member functions) per group of functions sharing no component.
 
     Functions whose supports intersect are merged, transitively.  Supports
     of different groups are disjoint and non-empty, so sorting by support
     gives one order whatever the order of the functions.
     """
-    groups: list[tuple[int, list[list[int]]]] = []
+    groups: list[tuple[int, list[Sequence[int]]]] = []
     for masks in functions:
         support = 0
         for m in masks:
@@ -292,7 +277,7 @@ def _groups(functions: list[list[int]]) -> list[tuple[int, list[list[int]]]]:
     return sorted(groups, key=lambda group: group[0])
 
 
-def _tail_length(functions: list[list[int]]) -> int:
+def _tail_length(functions: Sequence[Sequence[int]]) -> int:
     """How many of a group's last functions `_group_sum` folds into its tail.
 
     The most last functions whose nominal count, prod (2^t - 1), is at
@@ -308,7 +293,7 @@ def _tail_length(functions: list[list[int]]) -> int:
 
 
 def _group_sum(
-    functions: list[list[int]], reliabilities: list[float]
+    functions: Sequence[Sequence[int]], reliabilities: Sequence[float]
 ) -> tuple[float, int]:
     """(signed sum, distinct unions) of one group, without holding its map.
 
@@ -384,7 +369,7 @@ def _column(
 
 
 def _split_sum(
-    head: dict[int, int], tail: dict[int, int], reliabilities: list[float]
+    head: dict[int, int], tail: dict[int, int], reliabilities: Sequence[float]
 ) -> tuple[float, int]:
     """`_group_sum` of a large last merge, summed one bucket of parts at a time.
 
@@ -450,7 +435,7 @@ def reliability_simplified(
     covering-selection unions because the group supports are disjoint.
     """
     start = time.perf_counter()
-    masks, reliabilities = _prepare(spec)
+    masks, reliabilities = prepared(spec)
     term_count = comb_mod.simplified_terms_within(spec.shape, cap_terms)
     reliability, distinct = 1.0, 1
     for _, functions in _groups(masks):
@@ -466,7 +451,7 @@ def reliability_simplified(
     )
 
 
-def _point_masks(masks: list[list[int]], deadline: float = math.inf) -> list[int]:
+def _point_masks(masks: Sequence[Sequence[int]], deadline: float = math.inf) -> list[int]:
     """The union mask of every point of W, the last function varying fastest.
 
     Each function's points are built about _CHECK_EVERY at a time, and a
@@ -500,7 +485,7 @@ def reliability_classical(
     failure.  The count 2^|W| - 1 is built once W's points have been held.
     """
     start = time.perf_counter()
-    masks, reliabilities = _prepare(spec)
+    masks, reliabilities = prepared(spec)
     comb_mod.check_classical_terms(spec.shape, cap_terms)
 
     deadline = math.inf if budget_seconds is None else start + budget_seconds
@@ -558,7 +543,7 @@ def reliability_monte_carlo(
     if seed < 0:
         raise ValueError("seed must be non-negative")
     start = time.perf_counter()
-    masks, reliabilities = _prepare(spec)
+    masks, reliabilities = prepared(spec)
     # components no implementation uses are never drawn
     support = 0
     for function in masks:
@@ -619,7 +604,7 @@ def term_stream(
     method's reliability; both methods aggregate to identical maps.
     """
     method = Method(method)
-    masks, _ = _prepare(spec)
+    masks, _ = prepared(spec)
 
     if method is Method.SIMPLIFIED:
         comb_mod.simplified_terms_within(spec.shape, cap_terms)

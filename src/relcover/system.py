@@ -21,6 +21,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -112,8 +113,15 @@ class SystemSpec:
     `network` and `claimed` are optional provenance: the door network a spec
     was derived from, and externally claimed reference values
     (claimed_reliability / claimed_lower_bound) carried along for display.
-    Construction is permissive; `validate_system` is the gate that evaluators
-    rely on.
+    Construction is permissive.  A spec is checked once, on first use by
+    any evaluator or bound: `_record` keeps the `validate_system` report,
+    and the masks and reliabilities when the spec is sound enough to build
+    them.  The cache is sound because every field the check reads is a
+    tuple of frozen objects whose component sets are frozensets,
+    `dataclasses.replace` makes a new object that is checked afresh, and
+    `==`, `repr` and `system_to_dict` read only the declared fields.  A
+    spec built by hand from lists must not have them changed after first
+    use.
     """
 
     name: str
@@ -133,6 +141,20 @@ class SystemSpec:
     def implementations(self) -> Iterator[Implementation]:
         for function in self.functions:
             yield from function
+
+    @cached_property
+    def _record(self) -> tuple[ValidationReport, tuple, tuple | None, tuple | None]:
+        """(report, violations besides duplicate sets, masks, reliabilities).
+
+        Masks and reliabilities are None past such a violation, which could
+        make building them fail or allocate a huge mask.
+        """
+        report = validate_system(self)
+        hard = tuple(v for v in report.violations if v.kind != "duplicate-implementation")
+        if hard:
+            return report, hard, None, None
+        masks = tuple(tuple([impl.mask for impl in f]) for f in self.functions)
+        return report, hard, masks, tuple(reliability_array(self))
 
 
 @dataclass(frozen=True)
@@ -247,6 +269,22 @@ def reliability_array(spec: SystemSpec) -> list[float]:
     return reliabilities
 
 
+def prepared(
+    spec: SystemSpec, duplicates_ok: bool = False
+) -> tuple[tuple[tuple[int, ...], ...], tuple[float, ...]]:
+    """(masks per function, reliabilities by id) of a valid spec, from its record.
+
+    Raises InvalidSystemError unless the spec passes `validate_system`;
+    `duplicates_ok` lets identical component sets within a function pass,
+    as the bounds count them as distinct events.
+    """
+    report, hard, masks, reliabilities = spec._record
+    refused = hard if duplicates_ok else report.violations
+    if refused:
+        raise InvalidSystemError(refused)
+    return masks, reliabilities
+
+
 def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
     """prod of a_c over the components in mask, one chunk of ids at a time.
 
@@ -259,7 +297,7 @@ def mask_product(mask: int, reliabilities: Sequence[float]) -> float:
     This is the one product primitive behind every route, so equal masks
     always give bit-identical products, and a product assembled from
     memoised chunk products in the same order is bit-identical too.
-    `reliabilities` is the dense list `reliability_array(spec)`.
+    `reliabilities` is indexed by component id, as `reliability_array(spec)`.
     """
     p = 1.0
     base = 0
@@ -298,18 +336,16 @@ def intersection_probability(spec: SystemSpec, impls: Sequence[Implementation]) 
     a_c over the union of the component sets, which is what makes the
     event algebra of these systems collapse so aggressively.  Raises
     InvalidSystemError (a ValueError) unless the spec passes
-    `validate_system`, which is checked before any mask is built.
+    `validate_system`, which is checked before any mask is read.
     """
     if not impls:
         raise ValueError("intersection over an empty implementation list")
-    report = validate_system(spec)
-    if not report.ok:
-        raise InvalidSystemError(report.violations)
+    masks, reliabilities = prepared(spec)
     union = 0
     for impl in impls:
         _require_member(spec, impl)
-        union |= impl.mask
-    return mask_product(union, reliability_array(spec))
+        union |= masks[impl.function_index][impl.impl_index]
+    return mask_product(union, reliabilities)
 
 
 def door_functions(net: DoorNetwork) -> tuple[tuple[Implementation, ...], ...]:
@@ -415,7 +451,7 @@ def generate_random_system(
         components=comps,
         functions=tuple(functions),
     )
-    report = validate_system(spec)
+    report = spec._record[0]
     if not report.ok:  # pragma: no cover - generator contract
         raise GenerationError("generator produced an invalid system: " + str(report.violations))
     return spec
@@ -554,7 +590,7 @@ def load_system(path: str | Path) -> SystemSpec:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise ValueError(f"{path}: JSON nested too deeply to load") from exc

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -127,10 +129,15 @@ def test_exact_union_matches_evaluator(t1):
 
 
 def test_exact_union_tolerates_duplicates(t2):
-    # the evaluator refuses duplicate sets, the union probability does not
+    # the evaluator refuses duplicate sets, the union probability does not,
+    # whichever of them reads a fresh copy's kept check first
+    first, second = dataclasses.replace(t2), dataclasses.replace(t2)
     with pytest.raises(InvalidSystemError):
-        reliability_simplified(t2)
-    assert exact_union_probability(t2) == pytest.approx(0.2523527, abs=1e-12)
+        reliability_simplified(first)
+    assert exact_union_probability(first) == pytest.approx(0.2523527, abs=1e-12)
+    assert exact_union_probability(second) == pytest.approx(0.2523527, abs=1e-12)
+    with pytest.raises(InvalidSystemError):
+        reliability_simplified(second)
 
 
 def test_exact_union_refuses_a_huge_count_by_cap():

@@ -149,6 +149,16 @@ def test_eval_undecodable_bytes_name_the_file(capsys, tmp_path):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+def test_eval_integer_past_the_digit_limit_names_the_file(capsys, tmp_path):
+    # json.loads refuses a 5000-digit integer with a plain ValueError
+    path = tmp_path / "huge.json"
+    path.write_text('{"components": [{"id": ' + "9" * 5000 + ', "reliability": 0.5}]}')
+    code, out, err = run(capsys, "eval", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_eval_top_level_list_exits_1(capsys, tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[]")

@@ -1,6 +1,10 @@
+import contextlib
+import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,14 +17,18 @@ from relcover import (
     Implementation,
     InvalidSystemError,
     SystemSpec,
+    bound_summary,
     dumps_system,
+    exact_union_probability,
     generate_random_system,
     implementation_probability,
     intersection_probability,
     load_system,
+    reliability_simplified,
     save_system,
     system_from_dict,
     system_to_dict,
+    term_stream,
     validate_system,
 )
 from relcover import system
@@ -159,12 +167,21 @@ def test_sparse_component_ids_rejected(ids):
         intersection_probability(spec, [impl])
 
 
-@pytest.mark.parametrize("component", [7, 10**7, -1], ids=["past-end", "huge", "negative"])
-def test_component_outside_the_spec_rejected(component):
+@pytest.mark.parametrize(
+    "component, replaced",
+    [(7, False), (10**7, False), (-1, False), (7, True)],
+    ids=["past-end", "huge", "negative", "past-end-replaced"],
+)
+def test_component_outside_the_spec_rejected(component, replaced):
     # the spec is checked before any mask is built: no IndexError, no
-    # 10^7-bit mask, no negative shift
+    # 10^7-bit mask, no negative shift; a spec replaced from one already
+    # checked is checked afresh
     impl = Implementation(0, 0, frozenset({component}))
     spec = SystemSpec("outside", tuple(Component(i, 0.5) for i in range(3)), ((impl,),))
+    if replaced:
+        sound = dataclasses.replace(spec, functions=((Implementation(0, 0, frozenset({0})),),))
+        assert intersection_probability(sound, sound.functions[0]) == 0.5
+        spec = dataclasses.replace(sound, functions=((impl,),))
     message = rf"missing components \[{component}\]"
     with pytest.raises(InvalidSystemError, match=message):
         implementation_probability(spec, impl)
@@ -216,6 +233,25 @@ def test_intersection_monotone_under_extension(seed):
         intersection_probability(spec, impls[:k]) for k in range(1, len(impls) + 1)
     ]
     assert all(a >= b for a, b in zip(shrinking, shrinking[1:]))
+
+
+def test_a_spec_is_validated_once(t1):
+    spec = dataclasses.replace(t1)  # a fresh copy, not yet checked
+    check = mock.Mock(wraps=validate_system)
+    with contextlib.ExitStack() as patches:
+        # every module that holds the validator calls it through one counter
+        for name, module in list(sys.modules.items()):
+            if name.startswith("relcover") and vars(module).get("validate_system"):
+                patches.enter_context(mock.patch.object(module, "validate_system", check))
+        reliability_simplified(spec)
+        bound_summary(spec)
+        exact_union_probability(spec)
+        intersection_probability(spec, spec.functions[0])
+        term_stream(spec)
+        assert check.call_count == 1
+        drawn = generate_random_system(FamilyShape((3,)), 5, 0.5, seed=1)
+        reliability_simplified(drawn)
+        assert check.call_count == 2
 
 
 # --- generator ------------------------------------------------------------
@@ -296,8 +332,12 @@ def test_round_trip_preserves_spec(tmp_path, t1):
     path = tmp_path / "t1.json"
     save_system(t1, path)
     again = load_system(path)
-    assert again == t1
-    assert dumps_system(again) == dumps_system(t1)
+    # the check kept on a spec once evaluated is not part of its value
+    checked = load_system(path)
+    reliability_simplified(checked)
+    for spec in (t1, checked):
+        assert again == spec and spec == again and repr(again) == repr(spec)
+        assert dumps_system(again) == dumps_system(spec)
 
 
 def test_round_trip_through_dict(t3):
